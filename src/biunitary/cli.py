@@ -26,7 +26,7 @@ from .connection import (
     read_connection,
     write_connection,
 )
-from .decomp import DepthExceededError, discover_irreducibles, sector_statistics
+from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
 from .mpo import operator_rank, pmpo_P
 from .strings import flat_fields
@@ -350,7 +350,8 @@ def main(argv=None) -> int:
     except (ConnectionError, GraphError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except DepthExceededError as err:
+    except RuntimeError as err:
+        # DecompositionError, DepthExceededError, or a flat system without a gap
         print(f"error: {err}", file=sys.stderr)
         return 1
 

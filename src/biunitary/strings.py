@@ -12,6 +12,7 @@ projector operator a genuine two-sided check.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +157,7 @@ class FlatFieldResult:
     dimension: int
     basis: StringBasis
     vectors: np.ndarray | None          # (dim B_k, dimension), st-2 orthonormal
-    system_scale: float
+    system_scale: float                 # largest singular value of the solved system
     exact: bool                         # all constraints vanished identically
 
     def fields(self) -> list[Field]:
@@ -186,6 +187,8 @@ def _total_defect_sq(lad: np.ndarray, conn: Connection, basis: StringBasis) -> t
     by_pair: dict[tuple[str, str], list[int]] = {}
     for i, (e, s, r) in enumerate(left.edges):
         by_pair.setdefault((s, r), []).append(i)
+    # per-edge bond Gram of the ladder, shared by every pair it appears in
+    bond_gram = [np.einsum("bpq,cpq->bc", np.conj(lad[i]), lad[i]) for i in range(lad.shape[0])]
     for (x, y), idxs in by_pair.items():
         n_y = int(np.count_nonzero(starts == y))
         mask = starts == x
@@ -193,9 +196,7 @@ def _total_defect_sq(lad: np.ndarray, conn: Connection, basis: StringBasis) -> t
             for i2 in idxs:
                 a = lad[i1]   # (bond, p, q)
                 c = lad[i2]
-                g1 = np.einsum("bpq,cpq->bc", np.conj(a), a)
-                g2 = np.einsum("bpq,cpq->bc", np.conj(c), c)
-                t_sq = float(np.real(np.sum(g1 * np.conj(g2))))
+                t_sq = float(np.real(np.sum(bond_gram[i1] * np.conj(bond_gram[i2]))))
                 scale += t_sq
                 total += t_sq
                 if i1 == i2:
@@ -204,6 +205,36 @@ def _total_defect_sq(lad: np.ndarray, conn: Connection, basis: StringBasis) -> t
                     s2 = np.einsum("bpp->b", c[:, mask][:, :, mask])
                     total += -2.0 * float(np.real(np.sum(np.conj(s1) * s2))) + n_y * n_y
     return total, scale
+
+
+def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
+                   vertices=()) -> list[tuple[str, str, str]]:
+    """Breadth-first spanning tree of a vertical graph, grown from ``root``.
+
+    Returns ``(x, y, edge)`` triples in the order the vertices ``y`` are
+    first reached, each carried by the first edge listed for ``(x, y)``.
+    Every vertex of the edge map, and every vertex in ``vertices``, must be
+    reachable along directed edges; otherwise ConnectionError names the
+    unreached ones.
+    """
+    out: dict[str, list[tuple[str, str]]] = {}
+    for (x, y), edges in sorted(by_pair.items()):
+        out.setdefault(x, []).append((y, edges[0]))
+    reached = {root}
+    tree = []
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y, e in out.get(x, ()):
+            if y not in reached:
+                reached.add(y)
+                tree.append((x, y, e))
+                queue.append(y)
+    missing = sorted({v for pair in by_pair for v in pair}.union(vertices) - reached)
+    if missing:
+        raise ConnectionError(f"vertical graph does not reach {', '.join(missing)} "
+                              f"from base vertex {root}")
+    return tree
 
 
 def flat_fields(w_conn: Connection, k: int, tol: float = 1e-9,
@@ -216,9 +247,20 @@ def flat_fields(w_conn: Connection, k: int, tol: float = 1e-9,
     product connection itself, not its irreducible summands, keeps this
     computation independent of the decomposition pipeline.
 
+    A flat field is fixed by its block at one root base vertex ``*`` (the
+    one with the smallest block, ties broken by name): along each edge of a
+    breadth-first spanning tree of the vertical graph, ``f_y = T f_x`` with
+    the diagonal transport of that edge.  Substituting these relations
+    leaves a system on ``B_k(*)`` alone, whose Gram matrix sums
+    ``C^* C`` with ``C = T_{z1 z2} R_x - delta R_y`` over all edge pairs,
+    ``R_x`` being the transport product from ``*`` to ``x``.  The vertical
+    graph must therefore reach every base vertex from ``*``; otherwise
+    ConnectionError is raised.
+
     Returns the dimension and, on request, an st-2 orthonormal basis of
-    flat fields.  When every constraint vanishes identically the whole
-    string space is flat and no dense system is formed.
+    flat fields, rebuilt blockwise as ``R_x v``.  When every constraint
+    vanishes identically the whole string space is flat and no system is
+    formed.
     """
     wt = _constraint_blocks(w_conn)
     basis = StringBasis(w_conn.top, k)
@@ -233,23 +275,28 @@ def flat_fields(w_conn: Connection, k: int, tol: float = 1e-9,
         return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs,
                                system_scale=math.sqrt(scale), exact=True)
 
-    n = basis.dim
-    gram = np.zeros((n, n), dtype=complex)
     by_pair: dict[tuple[str, str], list[str]] = {}
     for e, s, r in wt.left.edges:
         by_pair.setdefault((s, r), []).append(e)
+    slices = basis.block_slices
+    root = min(basis.base_vertices, key=lambda x: (slices[x].stop - slices[x].start, x))
+    n0 = slices[root].stop - slices[root].start
+    reach = {root: np.eye(n0, dtype=complex)}
+    for x, y, zeta in _vertical_tree(by_pair, root, basis.base_vertices):
+        t = transport_T(wt, k, zeta, zeta, basis, engine=eng, ladder=lad).matrix
+        reach[y] = t @ reach[x]
+    gram = np.zeros((n0, n0), dtype=complex)
     for (x, y), edges in sorted(by_pair.items()):
-        sx, sy = basis.block_slices[x], basis.block_slices[y]
-        eye = np.eye(sy.stop - sy.start)
         for z1 in edges:
             for z2 in edges:
-                t = transport_T(wt, k, z1, z2, basis, engine=eng, ladder=lad).matrix
-                gram[sx, sx] += t.conj().T @ t
+                c = transport_T(wt, k, z1, z2, basis, engine=eng, ladder=lad).matrix @ reach[x]
                 if z1 == z2:
-                    gram[sx, sy] += -t.conj().T
-                    gram[sy, sx] += -t
-                    gram[sy, sy] += eye
-    evals, evecs = np.linalg.eigh(gram)
+                    c -= reach[y]
+                gram += c.conj().T @ c
+    if return_basis:
+        evals, evecs = np.linalg.eigh(gram)
+    else:
+        evals = np.linalg.eigvalsh(gram)
     sigma = np.sqrt(np.clip(evals, 0.0, None))
     smax = float(sigma[-1]) if len(sigma) else 0.0
     cut = 1e-6 * max(smax, 1.0)
@@ -261,7 +308,10 @@ def flat_fields(w_conn: Connection, k: int, tol: float = 1e-9,
     dim = int(np.count_nonzero(null))
     vecs = None
     if return_basis and dim:
-        v = evecs[:, null]
+        v0 = evecs[:, null]
+        v = np.zeros((basis.dim, dim), dtype=complex)
+        for x, r in reach.items():
+            v[slices[x]] = r @ v0
         g = _st2_gram(basis, w_conn, k)
         gm = (v.conj().T * g[None, :]) @ v
         ev, eu = np.linalg.eigh(gm)

@@ -37,8 +37,7 @@ from biunitary.cli import main as cli_main
 from conftest import ALL_BUILDERS, make_builder
 from test_bratteli import random_diagram, random_trace
 
-THEOREM_KS = {name: (1, 2) if name in ("dynkin:E6", "dynkin:D5") else (1, 2, 3, 4)
-              for name in ALL_BUILDERS}
+THEOREM_KS = (1, 2, 3, 4)
 
 
 def _edges_by_pair(conn):
@@ -64,7 +63,7 @@ def test_criterion_02_rank_equals_flat_dimension(systems, bases_for):
     rows = []
     for name in ALL_BUILDERS:
         s = systems(name)
-        for k in THEOREM_KS[name]:
+        for k in THEOREM_KS:
             _, lb = bases_for(name, k)
             rank = operator_rank(pmpo_P(s.fd, s.reps, k, lb))
             flat = flat_fields(s.wn, k, return_basis=False).dimension

@@ -2,7 +2,9 @@
 
 import json
 
+import biunitary.cli
 from biunitary.cli import main
+from biunitary.decomp import DecompositionError
 
 
 def run(capsys, *argv):
@@ -127,3 +129,25 @@ def test_pmpo_dump_includes_legend(capsys):
     doc = json.loads(out)
     assert len(doc["basis_legend"]) == doc["dim"]
     assert len(doc["matrix"]) == doc["dim"]
+
+
+def test_flat_system_failure_is_numeric_failure(capsys, monkeypatch):
+    def no_gap(*args, **kwargs):
+        raise RuntimeError("flatness system has no clean spectral gap")
+
+    monkeypatch.setattr(biunitary.cli, "flat_fields", no_gap)
+    code, _, err = run(capsys, "relcomm", "--builtin", "dynkin A3", "-k", "2")
+    assert code == 1
+    assert err.startswith("error: flatness system has no clean spectral gap")
+    assert "Traceback" not in err
+
+
+def test_decomposition_failure_is_numeric_failure(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DecompositionError("endomorphism algebra is empty")
+
+    monkeypatch.setattr(biunitary.cli, "discover_irreducibles", fail)
+    code, _, err = run(capsys, "verify-theorem", "--builtin", "dynkin A3", "-k", "1")
+    assert code == 1
+    assert err.startswith("error: endomorphism algebra is empty")
+    assert "Traceback" not in err

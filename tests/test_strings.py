@@ -13,7 +13,11 @@ from biunitary import (
     pmpo_P_tilde,
     transport_T,
 )
+from biunitary import ConnectionError, StringBasis, renormalize, vertical_product
 from biunitary.graphs import alternating
+from biunitary.strings import _st2_gram, _total_defect_sq, _vertical_tree
+
+from conftest import ALL_BUILDERS
 
 
 def edges_by_pair(conn):
@@ -21,6 +25,50 @@ def edges_by_pair(conn):
     for e, s, r in conn.left.edges:
         out.setdefault((s, r), []).append(e)
     return out
+
+
+def dense_flat_fields(w_conn, k):
+    """Full-space oracle for ``flat_fields``: every constraint on all of B_k.
+
+    Assembles the dense Gram matrix of the whole flatness system and returns
+    the flat dimension with an st-2 orthonormal basis (None when the exact
+    shortcut applies, which both solvers run first).
+    """
+    wt = vertical_product(w_conn, renormalize(w_conn, "bar"))
+    basis = StringBasis(w_conn.top, k)
+    eng = LadderEngine(wt)
+    lad = eng.half_ladder(basis.pathset, k)
+    total, scale = _total_defect_sq(lad, wt, basis)
+    if total <= 1e-20 * max(1.0, scale):
+        return basis.dim, None
+    n = basis.dim
+    gram = np.zeros((n, n), dtype=complex)
+    for (x, y), edges in sorted(edges_by_pair(wt).items()):
+        sx, sy = basis.block_slices[x], basis.block_slices[y]
+        eye = np.eye(sy.stop - sy.start)
+        for z1 in edges:
+            for z2 in edges:
+                t = transport_T(wt, k, z1, z2, basis, engine=eng, ladder=lad).matrix
+                gram[sx, sx] += t.conj().T @ t
+                if z1 == z2:
+                    gram[sx, sy] += -t.conj().T
+                    gram[sy, sx] += -t
+                    gram[sy, sy] += eye
+    evals, evecs = np.linalg.eigh(gram)
+    sigma = np.sqrt(np.clip(evals, 0.0, None))
+    cut = 1e-6 * max(float(sigma[-1]), 1.0)
+    null = sigma <= cut
+    nonzero = sigma[~null]
+    assert not len(nonzero) or float(nonzero.min()) >= 50 * cut
+    v = evecs[:, null]
+    g = _st2_gram(basis, w_conn, k)
+    ev, eu = np.linalg.eigh((v.conj().T * g[None, :]) @ v)
+    return int(np.count_nonzero(null)), v @ eu @ np.diag(1.0 / np.sqrt(ev))
+
+
+def st2_projector(vecs, g):
+    """Orthogonal projector onto the span of an st-2 orthonormal basis."""
+    return vecs @ (vecs.conj().T * g[None, :])
 
 
 class TestTrace:
@@ -160,6 +208,42 @@ class TestFlatFields:
                             got = tm.matrix @ f.vec[sb.block_slices[x]]
                             want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                             assert np.max(np.abs(got - want)) < 1e-10
+
+
+class TestVertexBlockSolve:
+    ORACLE_CASES = ([(name, k) for name in ALL_BUILDERS for k in (1, 2, 3, 4)]
+                    + [("dynkin:D5", 5), ("dynkin:E6", 5), ("dynkin:A7", 5)])
+
+    @pytest.mark.parametrize("name,k", ORACLE_CASES)
+    def test_matches_dense_oracle(self, systems, name, k):
+        wn = systems(name).wn
+        want_dim, want_vecs = dense_flat_fields(wn, k)
+        assert flat_fields(wn, k, return_basis=False).dimension == want_dim
+        res = flat_fields(wn, k, return_basis=True)
+        assert res.dimension == want_dim
+        if want_vecs is None:
+            assert res.exact
+            return
+        g = _st2_gram(res.basis, wn, k)
+        got = st2_projector(res.vectors, g)
+        want = st2_projector(want_vecs, g)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_tree_reaches_depth_two(self):
+        by_pair = {("r", "r"): ["l"], ("r", "u"): ["e1", "e1b"],
+                   ("u", "v"): ["e2"], ("v", "r"): ["e3"], ("u", "r"): ["e4"]}
+        assert _vertical_tree(by_pair, "r") == [("r", "u", "e1"), ("u", "v", "e2")]
+
+    def test_disconnected_graph_is_rejected(self):
+        by_pair = {("a", "a"): ["e0"], ("a", "b"): ["e1"], ("c", "d"): ["e2"]}
+        with pytest.raises(ConnectionError, match="c, d"):
+            _vertical_tree(by_pair, "a")
+
+    def test_isolated_required_vertex_is_rejected(self):
+        by_pair = {("a", "b"): ["e1"], ("b", "a"): ["e2"]}
+        assert _vertical_tree(by_pair, "a", ("a", "b")) == [("a", "b", "e1")]
+        with pytest.raises(ConnectionError, match="z"):
+            _vertical_tree(by_pair, "a", ("a", "b", "z"))
 
 
 class TestReflectedInputs:
