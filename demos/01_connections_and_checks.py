@@ -6,6 +6,7 @@ evaluates cells, runs the unitarity checkers, and round-trips a connection
 through the interchange format.
 """
 
+import os
 import tempfile
 
 from biunitary import (
@@ -63,8 +64,8 @@ for make, label in [(lambda: build_dynkin("A5"), "A5"),
 
 # -- interchange format --------------------------------------------------------
 
-with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as f:
-    path = f.name
-write_connection(conn, path)
-back = read_connection(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "a3.json")
+    write_connection(conn, path)
+    back = read_connection(path)
 print("file round trip is exact:", back.values == conn.values and back.mu == conn.mu)

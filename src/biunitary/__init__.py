@@ -71,9 +71,11 @@ from .mpo import (
     PhiMap,
     four_tensor,
     mpo_O,
+    mpo_O_tilde,
     operator_rank,
     phi_map,
     pmpo_P,
+    pmpo_P_tilde,
     ring_contract,
     shift2,
 )
@@ -84,8 +86,6 @@ from .strings import (
     flat_fields,
     jones_projection,
     jones_span_dimension,
-    mpo_O_tilde,
-    pmpo_P_tilde,
     transport_T,
 )
 

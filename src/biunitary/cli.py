@@ -4,6 +4,10 @@ Commands exchange connections through the interchange document format and
 emit either human-readable tables or versioned JSON reports.  Exit status is
 0 on success, 1 on a numeric failure (a failed check, a rank mismatch, or a
 non-terminating closure), and 2 on unreadable or invalid input.
+
+``--tol`` is the bi-unitarity threshold of ``check``; discovery and
+compression use it floored at 1e-8.  The 1e-6 Gram cut with its 50x gap
+and the 1e-8 rank cut are fixed.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def _theorem_rows(conn, args):
         rank = operator_rank(p)
         ff = flat_fields(wn, k, return_basis=False)
         rows.append({"k": k, "rank": rank, "flat_dimension": ff.dimension,
-                     "dim": lbasis.dim, "idempotency_defect": p.idempotency_defect()})
+                     "dim": lbasis.dim})
     return fd, rows
 
 
@@ -215,7 +219,7 @@ def cmd_pmpo(args) -> int:
 
 def cmd_relcomm(args) -> int:
     conn, h = _load(args)
-    ff = flat_fields(conn, args.k, tol=args.tol, return_basis=args.basis)
+    ff = flat_fields(conn, args.k, return_basis=args.basis)
     report = _provenance(args, h) | {
         "command": "relcomm", "k": args.k, "dim": ff.basis.dim,
         "flat_dimension": ff.dimension,

@@ -25,6 +25,7 @@ from .connection import (
     vertical_product,
 )
 from .graphs import LayeredGraph, count_paths, alternating
+from .nullspace import RANK_EPS, gram_null_space
 
 __all__ = [
     "DecompositionError",
@@ -39,12 +40,6 @@ __all__ = [
     "SectorStatistics",
     "sector_statistics",
 ]
-
-RANK_EPS = 1e-8
-# Effective singular-value cut used on Gram spectra: squaring the system
-# pushes rounding noise to ~1e-15 * lambda_max, above the square of the
-# nominal 1e-8 cut, so the cut is widened and a spectral gap is asserted.
-GRAM_EPS = 1e-6
 
 
 class DecompositionError(RuntimeError):
@@ -156,7 +151,7 @@ class _HomProblem:
         return worst
 
 
-def hom_space(src: Connection, dst: Connection, tol: float = RANK_EPS) -> list[IntertwinerFamily]:
+def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
     """Orthonormal basis of intertwiner families from `src` to `dst`.
 
     Solves, for every top edge t: x->y and bottom edge b: z->w,
@@ -192,15 +187,8 @@ def hom_space(src: Connection, dst: Connection, tol: float = RANK_EPS) -> list[I
             cross = -np.kron(a_mat.conj().T, b_mat.T)
             gram[ol:ol + dl * sl, orr:orr + dr * sr] += cross
             gram[orr:orr + dr * sr, ol:ol + dl * sl] += cross.conj().T
-    evals, evecs = np.linalg.eigh(gram)
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
-    smax = sigma[-1] if len(sigma) else 0.0
-    cut = GRAM_EPS * max(smax, 1.0)
-    null_mask = sigma <= cut
-    nonzero = sigma[~null_mask]
-    if len(nonzero) and nonzero.min() < 50 * cut:
-        raise DecompositionError(
-            f"no clean spectral gap in hom system (min nonzero {nonzero.min():.3e}, cut {cut:.3e})")
+    null_mask, evecs, smax = gram_null_space(gram, True, DecompositionError,
+                                             "no clean spectral gap in hom system")
     fams = [prob.unflatten(evecs[:, i]) for i in np.nonzero(null_mask)[0]]
     for f in fams:
         r = prob.residual(f)
@@ -240,8 +228,7 @@ def adjoint_closure_defect(basis: list[IntertwinerFamily]) -> float:
     return worst
 
 
-def end_minimal_projections(c: Connection, seed: int = 0,
-                            tol: float = RANK_EPS) -> list[IntertwinerFamily]:
+def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFamily]:
     """Pairwise-orthogonal minimal projections summing to one in End(c).
 
     Certifies that End(c) is closed under the slot-wise adjoint, draws a
@@ -249,7 +236,7 @@ def end_minimal_projections(c: Connection, seed: int = 0,
     the vertex-pair blocks, and verifies each spectral projection is minimal.
     Reseeds on spectral collisions; raises after eight failures.
     """
-    basis = hom_space(c, c, tol)
+    basis = hom_space(c, c)
     if not basis:
         raise DecompositionError("endomorphism algebra is empty")
     defect = adjoint_closure_defect(basis)
@@ -386,7 +373,7 @@ def compress(c: Connection, p: IntertwinerFamily, tol: float = 1e-9) -> Connecti
 
 def decompose(c: Connection, seed: int = 0, tol: float = RANK_EPS) -> list[Connection]:
     """All irreducible summands of `c`, one per minimal projection."""
-    return [compress(c, p, tol) for p in end_minimal_projections(c, seed, tol)]
+    return [compress(c, p, tol) for p in end_minimal_projections(c, seed)]
 
 
 # -- fusion data --------------------------------------------------------------
@@ -508,7 +495,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
             prod_m = _left_multiplicity_matrix(prod, v0)
             accounted = np.zeros_like(prod_m)
             for known in classes:
-                mult = len(hom_space(known.rep, prod, tol))
+                mult = len(hom_space(known.rep, prod))
                 accounted += mult * known.m
             if np.array_equal(accounted, prod_m):
                 continue
@@ -516,7 +503,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
                 sm = _left_multiplicity_matrix(summand, v0)
                 match = None
                 for known in classes:
-                    if np.array_equal(known.m, sm) and len(hom_space(summand, known.rep, tol)):
+                    if np.array_equal(known.m, sm) and len(hom_space(summand, known.rep)):
                         match = known
                         break
                 if match is None:
@@ -549,21 +536,21 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
         for eb in classes:
             prod = vertical_product(reps[eb.label], reps[ea.label])
             for ec in classes:
-                n_table[(ea.label, eb.label, ec.label)] = len(hom_space(ec.rep, prod, tol))
+                n_table[(ea.label, eb.label, ec.label)] = len(hom_space(ec.rep, prod))
 
     conj = {}
     for ea in classes:
         bar = renormalize(reps[ea.label], "bar")
         partner = None
         for eb in classes:
-            if np.array_equal(eb.m, ea.m.T) and len(hom_space(bar, reps[eb.label], tol)):
+            if np.array_equal(eb.m, ea.m.T) and len(hom_space(bar, reps[eb.label])):
                 partner = eb.label
                 break
         if partner is None:
             raise DecompositionError(f"no conjugate found for {ea.label}")
         conj[ea.label] = partner
 
-    l_table = {(e.label, 1): len(hom_space(reps[e.label], wt_norm, tol)) for e in classes}
+    l_table = {(e.label, 1): len(hom_space(reps[e.label], wt_norm)) for e in classes}
 
     fd = FusionData(labels=labels, identity=identity_label, v0=v0, d=d, w=w_value,
                     n_table=n_table, m_table=m_table, conj=conj, l_table=l_table,

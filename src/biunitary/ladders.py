@@ -181,7 +181,10 @@ def paired_string_operator(pairs, basis, col_vertex: str | None = None,
                 gi = basis.grids[ki]
                 c0 = int(gi.flat[0]) - col_off
                 np_ = len(ps)
-                out[r0:r0 + nq * nq, c0:c0 + np_ * np_] += blk.reshape(nq * nq, np_ * np_)
+                # splitting both axes of an output block keeps it a view;
+                # adding into it avoids a copy of the non-contiguous blk
+                dst = out[r0:r0 + nq * nq, c0:c0 + np_ * np_].reshape(nq, nq, np_, np_)
+                dst += blk
     return out
 
 

@@ -3,9 +3,10 @@
 Each irreducible summand label a gives an operator O_a^k on the space of
 closed paths of length 2k: the ladder of 2k alternating cells with the same
 boundary bond at both ends, the returning half read under the mirror
-conventions.  The weighted sum P^k of all labels with coefficients d_a / w
-is an idempotent whose rank is the quantity the flat-field computation
-reproduces independently.
+conventions; it is built on the string space and carried to the loops by
+the diagonal folding map.  The weighted sum P^k of all labels with
+coefficients d_a / w is an idempotent whose rank is the quantity the
+flat-field computation reproduces independently.
 """
 
 from __future__ import annotations
@@ -17,20 +18,21 @@ import numpy as np
 from .bases import LoopBasis, StringBasis
 from .connection import Connection, renormalize
 from .ladders import LadderEngine, paired_string_operator
+from .nullspace import RANK_EPS
 
 __all__ = [
     "MPOOperator",
     "PhiMap",
     "mpo_O",
+    "mpo_O_tilde",
     "pmpo_P",
+    "pmpo_P_tilde",
     "operator_rank",
     "shift2",
     "phi_map",
     "four_tensor",
     "ring_contract",
 ]
-
-RANK_EPS = 1e-8
 
 
 @dataclass
@@ -44,10 +46,6 @@ class MPOOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __matmul__(self, other: "MPOOperator") -> "MPOOperator":
-        return MPOOperator(self.matrix @ other.matrix, self.basis,
-                           f"({self.tag})({other.tag})")
 
     def idempotency_defect(self, probes: int | None = None, seed: int = 7) -> float:
         """Max-norm of P P - P, exactly for small matrices, probed for huge ones."""
@@ -66,37 +64,54 @@ class MPOOperator:
         return float(np.max(np.abs(self.matrix @ self.matrix - self.matrix)))
 
 
-def _string_pair_sum(a_conn: Connection, k: int, strings: StringBasis,
-                     engine: LadderEngine | None = None) -> np.ndarray:
-    eng = engine if engine is not None else LadderEngine(a_conn)
-    lad = eng.half_ladder(strings.pathset, k)
-    na, nb, np_, nq = lad.shape
-    l2d = lad.reshape(na * nb, np_, nq)
-    return paired_string_operator(((l2d[m], l2d[m]) for m in range(na * nb)), strings)
+def mpo_O_tilde(a_conn: Connection, k: int, basis: StringBasis,
+                engine: LadderEngine | None = None,
+                ladder: np.ndarray | None = None) -> MPOOperator:
+    """The string-side summand operator on B_k: the half ladder paired with
+    itself, the shared boundary bond summed."""
+    if ladder is None:
+        eng = engine if engine is not None else LadderEngine(a_conn)
+        ladder = eng.half_ladder(basis.pathset, k)
+    na, nb, np_, nq = ladder.shape
+    l2d = ladder.reshape(na * nb, np_, nq)
+    mat = paired_string_operator(((l2d[m], l2d[m]) for m in range(na * nb)), basis)
+    return MPOOperator(mat, basis, tag=f"Ot[{a_conn.name},k={k}]")
 
 
 def mpo_O(a_conn: Connection, k: int, basis: LoopBasis,
           engine: LadderEngine | None = None) -> MPOOperator:
     """The length-2k operator of one summand connection on the loop space.
 
-    Built from the half ladder: the outgoing half carries the loop's first k
-    edges, the returning half is read mirrored (conjugated, with the
-    fold-normalization weights), and the boundary bond is summed over the
-    left vertical edges.
+    The loop basis is index-aligned with its string basis, and the loop-side
+    operator is the string-side one conjugated by the half-folding map: the
+    returning half is read mirrored, with the fold-normalization weights.
     """
-    mat = _string_pair_sum(a_conn, k, basis.strings, engine)
+    mat = mpo_O_tilde(a_conn, k, basis.strings, engine).matrix
     f = basis.fold_factor
     mat *= f[None, :]
     mat /= f[:, None]
     return MPOOperator(mat, basis, tag=f"O[{a_conn.name},k={k}]")
 
 
-def pmpo_P(fd, reps: dict[str, Connection], k: int, basis: LoopBasis) -> MPOOperator:
-    """The projector sum_a (d_a / w) O_a^k."""
+def _weighted_sum(fd, reps: dict[str, Connection], k: int, basis, summand,
+                  tag: str) -> MPOOperator:
+    """sum_a (d_a / w) summand(rep_a, k, basis), each term scaled in place."""
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for a in fd.labels:
-        mat += (fd.d[a] / fd.w) * mpo_O(reps[a], k, basis).matrix
-    return MPOOperator(mat, basis, tag=f"P[k={k}]")
+        o = summand(reps[a], k, basis).matrix
+        o *= fd.d[a] / fd.w
+        mat += o
+    return MPOOperator(mat, basis, tag=tag)
+
+
+def pmpo_P(fd, reps: dict[str, Connection], k: int, basis: LoopBasis) -> MPOOperator:
+    """The projector sum_a (d_a / w) O_a^k."""
+    return _weighted_sum(fd, reps, k, basis, mpo_O, f"P[k={k}]")
+
+
+def pmpo_P_tilde(fd, reps: dict[str, Connection], k: int, basis: StringBasis) -> MPOOperator:
+    """The string-side projector, conjugate to P^k under the folding map."""
+    return _weighted_sum(fd, reps, k, basis, mpo_O_tilde, f"Pt[k={k}]")
 
 
 def operator_rank(op, tol: float = RANK_EPS) -> int:
@@ -110,7 +125,7 @@ def operator_rank(op, tol: float = RANK_EPS) -> int:
     if a.size == 0:
         return 0
     d = np.diagonal(a)
-    if np.count_nonzero(a - np.diag(d)) == 0:
+    if np.count_nonzero(a) == np.count_nonzero(d):
         sigma = np.abs(d)
     elif np.max(np.abs(a - a.conj().T)) <= 1e-13 * max(1.0, float(np.max(np.abs(a)))):
         sigma = np.abs(np.linalg.eigvalsh(a))
@@ -144,22 +159,6 @@ class PhiMap:
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.loops.fold_factor).astype(complex)
-
-    def apply(self, loop_vec: np.ndarray) -> np.ndarray:
-        return self.loops.fold_factor * np.asarray(loop_vec)
-
-    def apply_inverse(self, string_vec: np.ndarray) -> np.ndarray:
-        return np.asarray(string_vec) / self.loops.fold_factor
-
-    def conjugate_loop_operator(self, mat: np.ndarray) -> np.ndarray:
-        """Phi M Phi^{-1} for a loop-space matrix."""
-        f = self.loops.fold_factor
-        return (f[:, None] * mat) * (1.0 / f)[None, :]
-
-    def conjugate_string_operator(self, mat: np.ndarray) -> np.ndarray:
-        """Phi^{-1} M Phi for a string-space matrix."""
-        f = self.loops.fold_factor
-        return ((1.0 / f)[:, None] * mat) * f[None, :]
 
 
 def phi_map(basis: LoopBasis) -> PhiMap:

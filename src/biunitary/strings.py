@@ -20,21 +20,17 @@ import numpy as np
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
 from .ladders import LadderEngine, paired_string_operator
-from .mpo import MPOOperator
+from .nullspace import gram_null_space
 
 __all__ = [
     "TraceData",
     "TransportMap",
     "transport_T",
-    "mpo_O_tilde",
-    "pmpo_P_tilde",
     "FlatFieldResult",
     "flat_fields",
     "jones_projection",
     "jones_span_dimension",
 ]
-
-RANK_EPS = 1e-8
 
 
 # -- traces -------------------------------------------------------------------
@@ -81,14 +77,7 @@ class TraceData:
         return math.sqrt(max(float(np.sum(np.abs(field.vec) ** 2 * self.gram)), 0.0))
 
 
-# -- transports and string-side operators ------------------------------------
-
-
-def _engine_and_ladder(a_conn: Connection, basis: StringBasis, k: int,
-                       engine: LadderEngine | None = None, ladder: np.ndarray | None = None):
-    eng = engine if engine is not None else LadderEngine(a_conn)
-    lad = ladder if ladder is not None else eng.half_ladder(basis.pathset, k)
-    return eng, lad
+# -- transports ---------------------------------------------------------------
 
 
 @dataclass
@@ -115,7 +104,8 @@ def transport_T(a_conn: Connection, k: int, zeta1: str, zeta2: str,
     zeta2, and the far bond is summed.  Summing the diagonal over the bonds
     of one endpoint pair recovers the string-side summand operator block.
     """
-    eng, lad = _engine_and_ladder(a_conn, basis, k, engine, ladder)
+    eng = engine if engine is not None else LadderEngine(a_conn)
+    lad = ladder if ladder is not None else eng.half_ladder(basis.pathset, k)
     left = a_conn.left
     if left.source(zeta1) != left.source(zeta2) or left.range(zeta1) != left.range(zeta2):
         raise ConnectionError("boundary edges must share both endpoints")
@@ -125,28 +115,6 @@ def transport_T(a_conn: Connection, k: int, zeta1: str, zeta2: str,
         ((lad[i1, b], lad[i2, b]) for b in range(lad.shape[1])),
         basis, col_vertex=x, row_vertex=y)
     return TransportMap(x=x, y=y, zeta1=zeta1, zeta2=zeta2, matrix=mat)
-
-
-def mpo_O_tilde(a_conn: Connection, k: int, basis: StringBasis,
-                engine: LadderEngine | None = None,
-                ladder: np.ndarray | None = None) -> MPOOperator:
-    """The string-side summand operator on B_k.
-
-    Conjugate under the half-folding map to the loop-side operator; computed
-    directly from the half ladder with the shared boundary bond summed.
-    """
-    eng, lad = _engine_and_ladder(a_conn, basis, k, engine, ladder)
-    na, nb, np_, nq = lad.shape
-    l2d = lad.reshape(na * nb, np_, nq)
-    mat = paired_string_operator(((l2d[m], l2d[m]) for m in range(na * nb)), basis)
-    return MPOOperator(mat, basis, tag=f"Ot[{a_conn.name},k={k}]")
-
-
-def pmpo_P_tilde(fd, reps: dict[str, Connection], k: int, basis: StringBasis) -> MPOOperator:
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for a in fd.labels:
-        mat += (fd.d[a] / fd.w) * mpo_O_tilde(reps[a], k, basis).matrix
-    return MPOOperator(mat, basis, tag=f"Pt[k={k}]")
 
 
 # -- flat fields --------------------------------------------------------------
@@ -237,8 +205,7 @@ def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
     return tree
 
 
-def flat_fields(w_conn: Connection, k: int, tol: float = 1e-9,
-                return_basis: bool = True) -> FlatFieldResult:
+def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFieldResult:
     """Solve the flatness system of the squared connection on fields of strings.
 
     The constraints run over all pairs of vertical edges of the product of
@@ -282,29 +249,23 @@ def flat_fields(w_conn: Connection, k: int, tol: float = 1e-9,
     root = min(basis.base_vertices, key=lambda x: (slices[x].stop - slices[x].start, x))
     n0 = slices[root].stop - slices[root].start
     reach = {root: np.eye(n0, dtype=complex)}
-    for x, y, zeta in _vertical_tree(by_pair, root, basis.base_vertices):
+    tree = _vertical_tree(by_pair, root, basis.base_vertices)
+    for x, y, zeta in tree:
         t = transport_T(wt, k, zeta, zeta, basis, engine=eng, ladder=lad).matrix
         reach[y] = t @ reach[x]
+    tree_edges = {zeta for _, _, zeta in tree}
     gram = np.zeros((n0, n0), dtype=complex)
     for (x, y), edges in sorted(by_pair.items()):
         for z1 in edges:
             for z2 in edges:
+                if z1 == z2 and z1 in tree_edges:
+                    continue  # T R_x - R_y is exactly zero: R_y was set to T R_x
                 c = transport_T(wt, k, z1, z2, basis, engine=eng, ladder=lad).matrix @ reach[x]
                 if z1 == z2:
                     c -= reach[y]
                 gram += c.conj().T @ c
-    if return_basis:
-        evals, evecs = np.linalg.eigh(gram)
-    else:
-        evals = np.linalg.eigvalsh(gram)
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
-    smax = float(sigma[-1]) if len(sigma) else 0.0
-    cut = 1e-6 * max(smax, 1.0)
-    null = sigma <= cut
-    nonzero = sigma[~null]
-    if len(nonzero) and float(nonzero.min()) < 50 * cut:
-        raise RuntimeError("flatness system has no clean spectral gap "
-                           f"(min nonzero {nonzero.min():.3e}, cut {cut:.3e})")
+    null, evecs, smax = gram_null_space(gram, return_basis, RuntimeError,
+                                        "flatness system has no clean spectral gap")
     dim = int(np.count_nonzero(null))
     vecs = None
     if return_basis and dim:
@@ -362,7 +323,7 @@ def jones_projection(g, mu: dict[str, float], gamma1: float, i: int, k: int,
 
 
 def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: int,
-                         basis: StringBasis | None = None, tol: float = 1e-9) -> int:
+                         basis: StringBasis | None = None) -> int:
     """Dimension of the unital algebra generated by the Temperley-Lieb idempotents."""
     if basis is None:
         basis = StringBasis(g, k)

@@ -75,6 +75,11 @@ class TestOperatorRank:
         m = np.diag([1.0, 1e-3, 1e-12])
         assert operator_rank(m) == 2
 
+    def test_diagonal_test_sees_off_diagonal_entries(self):
+        # rank 1 and not diagonal: its diagonal is zero, its singular values (1, 0)
+        assert operator_rank(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1
+        assert operator_rank(np.diag([1.0, 0.0])) == 1
+
     def test_non_hermitian_path(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
