@@ -21,6 +21,7 @@ from biunitary import (
     operator_rank,
     phi_map,
     pmpo_P,
+    projector_trace,
     shift2,
 )
 
@@ -47,7 +48,7 @@ print(f"   rotation commutator: {np.max(np.abs(sh.matrix @ p.matrix - p.matrix @
 print(f"   folding map is invertible: rank {operator_rank(phi_map(lb).matrix(), 1e-10)} "
       f"of {lb.dim}")
 
-print("\n== rank of the projector vs flat-field dimension")
+print("\n== rank of the projector (dense, and as the trace of P^k) vs flat-field dimension")
 builders = [("A3", lambda: build_dynkin("A3"), 4),
             ("A4", lambda: build_dynkin("A4"), 4),
             ("A5", lambda: build_dynkin("A5"), 4),
@@ -57,10 +58,11 @@ builders = [("A3", lambda: build_dynkin("A3"), 4),
             ("Z/4", lambda: build_cyclic_group(4), 3)]
 for label, make, kmax in builders:
     fd, reps, wn = discover_irreducibles(make(), seed=0)
-    ranks, flats = [], []
+    ranks, traces, flats = [], [], []
     for k in range(1, kmax + 1):
         basis = LoopBasis(StringBasis(wn.top, k), wn.mu)
         ranks.append(operator_rank(pmpo_P(fd, reps, k, basis)))
+        traces.append(round(projector_trace(fd, reps, k), 9))
         flats.append(flat_fields(wn, k, return_basis=False).dimension)
-    verdict = "EQUAL" if ranks == flats else "MISMATCH"
-    print(f"   {label:12s} ranks {ranks}  flat {flats}  -> {verdict}")
+    verdict = "EQUAL" if ranks == traces == flats else "MISMATCH"
+    print(f"   {label:12s} dense ranks {ranks}  traces {traces}  flat {flats}  -> {verdict}")

@@ -76,6 +76,7 @@ from .mpo import (
     phi_map,
     pmpo_P,
     pmpo_P_tilde,
+    projector_trace,
     ring_contract,
     shift2,
 )

@@ -6,8 +6,15 @@ emit either human-readable tables or versioned JSON reports.  Exit status is
 non-terminating closure), and 2 on unreadable or invalid input.
 
 ``--tol`` is the bi-unitarity threshold of ``check``; discovery and
-compression use it floored at 1e-8.  The 1e-6 Gram cut with its 50x gap
-and the 1e-8 rank cut are fixed.
+compression use it floored at 1e-8.  ``relcomm`` runs no discovery: it
+records ``--tol`` in its provenance but does not use it.  The 1e-6 Gram cut
+with its 50x gap and the 1e-8 rank cut are fixed.
+
+``verify-theorem`` takes the rank of P^k as its trace, computed without
+forming the operator, and exits 1 unless that trace lies within 1e-9 of an
+integer.  ``pmpo`` builds the dense P^k for its SVD/eigen rank and its
+idempotency residual, and exits 2 before building it when the two dense
+arrays it holds would exceed half of physical memory.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -32,10 +40,14 @@ from .connection import (
 )
 from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
-from .mpo import operator_rank, pmpo_P
+from .mpo import operator_rank, pmpo_P, projector_trace
+from .nullspace import INTEGRALITY_EPS
 from .strings import flat_fields
 
 REPORT_VERSION = 1
+
+# pmpo refuses a dense P^k whose arrays would not fit in half of physical memory
+DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
 def _fmt(x: float) -> str:
@@ -181,13 +193,15 @@ def _theorem_rows(conn, args):
                                          seed=args.seed, tol=args.tol)
     rows = []
     for k in range(1, args.k + 1):
-        sbasis = StringBasis(wn.top, k)
-        lbasis = LoopBasis(sbasis, wn.mu)
-        p = pmpo_P(fd, reps, k, lbasis)
-        rank = operator_rank(p)
+        # P^k is a Hermitian idempotent: its rank is its trace, if integral
+        tr = projector_trace(fd, reps, k)
+        rank = round(tr)
+        if abs(tr - rank) > INTEGRALITY_EPS:
+            raise RuntimeError(f"trace of P^k at k={k} is not integral: {_fmt(tr)}, "
+                               f"residual {abs(tr - rank):.3e}")
         ff = flat_fields(wn, k, return_basis=False)
         rows.append({"k": k, "rank": rank, "flat_dimension": ff.dimension,
-                     "dim": lbasis.dim})
+                     "dim": ff.basis.dim})
     return fd, rows
 
 
@@ -196,6 +210,12 @@ def cmd_pmpo(args) -> int:
     fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
                                          seed=args.seed, tol=args.tol)
     sbasis = StringBasis(wn.top, args.k)
+    # pmpo_P holds its accumulator and one summand, two dense complex arrays
+    need = 2 * 16 * sbasis.dim ** 2
+    if need > DENSE_BUDGET_BYTES:
+        raise ValueError(f"dense P^k at k={args.k} on dim B_k = {sbasis.dim} needs "
+                         f"{need / 2**30:.1f} GiB, above the budget of "
+                         f"{DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
     lbasis = LoopBasis(sbasis, wn.mu)
     p = pmpo_P(fd, reps, args.k, lbasis)
     rank = operator_rank(p)
@@ -228,7 +248,7 @@ def cmd_relcomm(args) -> int:
         report["basis"] = [[_fmt(z.real) + ("+" if z.imag >= 0 else "-")
                             + _fmt(abs(z.imag)) + "j" for z in ff.vectors[:, j]]
                            for j in range(ff.vectors.shape[1])]
-    lines = [f"flat fields at k = {args.k} (tol {args.tol:g})",
+    lines = [f"flat fields at k = {args.k}",
              f"  string space dimension {ff.basis.dim}",
              f"  flat dimension         {ff.dimension}"]
     _emit(args, report, lines)

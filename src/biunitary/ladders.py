@@ -135,6 +135,36 @@ class LadderEngine:
             state = new
         return state
 
+    def diagonal_sweep(self, k: int) -> np.ndarray:
+        """End-vertex sums of the half ladder's top == bottom entries.
+
+        Returns ``S[a, b, v] = sum_p L[a, b, p, p]`` over the paths p of
+        length k ending at v, with ``L`` from :meth:`half_ladder`.  Only a
+        loop anchor a: x -> x carries such entries, and equal paths only meet
+        the diagonal cell blocks ``(t, t)``, so the sweep runs over
+        (bond x vertex) alone: its cost does not depend on the path count.
+        """
+        g = self.conn.top
+        vertex_index = {v: i for i, (v, _) in enumerate(g.vertices)}
+        nl, nv = len(self.left_edges), len(vertex_index)
+        state = np.zeros((nl, nl, nv), dtype=complex)
+        for a, e in enumerate(self.left_edges):
+            x = self.conn.left.source(e)
+            if self.conn.left.range(e) == x:
+                state[a, a, vertex_index[x]] = 1.0
+        for j in range(1, k + 1):
+            odd = j % 2 == 1
+            blocks = self._odd if odd else self._even
+            n_out = len(self.right_edges) if odd else nl
+            new = np.zeros((nl, n_out, nv), dtype=complex)
+            for (t, b), m in blocks.items():
+                if t != b:
+                    continue
+                u, v = (g.source(t), g.range(t)) if odd else (g.range(t), g.source(t))
+                new[:, :, vertex_index[v]] += state[:, :, vertex_index[u]] @ m.T
+            state = new
+        return state
+
 
 def paired_string_operator(pairs, basis, col_vertex: str | None = None,
                            row_vertex: str | None = None) -> np.ndarray:

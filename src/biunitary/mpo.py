@@ -27,6 +27,7 @@ __all__ = [
     "mpo_O_tilde",
     "pmpo_P",
     "pmpo_P_tilde",
+    "projector_trace",
     "operator_rank",
     "shift2",
     "phi_map",
@@ -112,6 +113,25 @@ def pmpo_P(fd, reps: dict[str, Connection], k: int, basis: LoopBasis) -> MPOOper
 def pmpo_P_tilde(fd, reps: dict[str, Connection], k: int, basis: StringBasis) -> MPOOperator:
     """The string-side projector, conjugate to P^k under the folding map."""
     return _weighted_sum(fd, reps, k, basis, mpo_O_tilde, f"Pt[k={k}]")
+
+
+def projector_trace(fd, reps: dict[str, Connection], k: int) -> float:
+    """tr P^k = sum_a (d_a / w) tr O_a^k, without forming any operator.
+
+    The fold is a diagonal similarity, so tr O_a^k = tr Õ_a^k, and the
+    diagonal of Õ_a^k pairs the top == bottom half-ladder entries over the
+    strings of each (base, end) grid: tr Õ_a^k = sum |S[a, b, v]|^2 with S
+    from :meth:`LadderEngine.diagonal_sweep`.  P^k is a Hermitian
+    idempotent, so the trace is its rank.  The result is a float: its
+    distance to the nearest integer is the evidence, and at large k (or
+    large ranks) float rounding alone breaks integrality, so a caller that
+    certifies the rank must refuse a trace that is not integral.
+    """
+    total = 0.0
+    for a in fd.labels:
+        s = LadderEngine(reps[a]).diagonal_sweep(k)
+        total += fd.d[a] / fd.w * float(np.sum(np.abs(s) ** 2))
+    return total
 
 
 def operator_rank(op, tol: float = RANK_EPS) -> int:

@@ -14,6 +14,9 @@ RANK_EPS = 1e-8
 GRAM_EPS = 1e-6
 # Every kept singular value must exceed the cut by this factor.
 GAP_FACTOR = 50
+# A float trace of an idempotent certifies its integer rank only when it lies
+# this close to that integer.
+INTEGRALITY_EPS = 1e-9
 
 
 def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],

@@ -151,3 +151,47 @@ def test_decomposition_failure_is_numeric_failure(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("error: endomorphism algebra is empty")
     assert "Traceback" not in err
+
+
+def test_relcomm_header_claims_no_tolerance(capsys):
+    # relcomm runs no discovery, so --tol decides nothing there
+    code, out, _ = run(capsys, "relcomm", "--builtin", "dynkin A3", "-k", "2",
+                       "--tol", "1e-7")
+    assert code == 0
+    assert out.splitlines()[0] == "flat fields at k = 2"
+    assert "tol" not in out
+
+
+def test_pmpo_over_memory_budget_is_input_error(capsys, monkeypatch):
+    # A3 at k=2 has dim B_k = 4: two dense complex arrays are 512 bytes
+    monkeypatch.setattr(biunitary.cli, "DENSE_BUDGET_BYTES", 511)
+    code, out, err = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: dense P^k at k=2 on dim B_k = 4 ")
+    monkeypatch.setattr(biunitary.cli, "DENSE_BUDGET_BYTES", 512)
+    code, _, _ = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
+    assert code == 0
+
+
+def test_verify_theorem_builds_no_dense_projector(capsys, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("verify-theorem must not use the dense projector")
+
+    monkeypatch.setattr(biunitary.cli, "pmpo_P", dense)
+    monkeypatch.setattr(biunitary.cli, "operator_rank", dense)
+    code, out, _ = run(capsys, "verify-theorem", "--builtin", "dynkin E6", "-k", "4")
+    assert code == 0
+    assert "k=4: rank 21  flat 21" in out
+    assert "overall PASS" in out
+
+
+def test_non_integral_trace_is_numeric_failure(capsys, monkeypatch):
+    monkeypatch.setattr(biunitary.cli, "projector_trace", lambda fd, reps, k: 2.5)
+    code, out, err = run(capsys, "verify-theorem", "--builtin", "dynkin A3", "-k", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: trace of P^k at k=1 is not integral: 2.5, residual")
+    assert "Traceback" not in err

@@ -1,18 +1,24 @@
-"""Loop-space operators: fusion, idempotency, rank, rotation, folding, the ring."""
+"""Loop-space operators: fusion, idempotency, rank, trace, rotation, folding, the ring."""
 
 import numpy as np
 import pytest
 
 from biunitary import (
+    LadderEngine,
+    LoopBasis,
+    StringBasis,
     four_tensor,
     mpo_O,
     mpo_O_tilde,
     operator_rank,
     phi_map,
     pmpo_P,
+    projector_trace,
     ring_contract,
     shift2,
 )
+
+from conftest import ALL_BUILDERS
 
 
 class TestSummandOperators:
@@ -64,6 +70,50 @@ class TestProjector:
         _, lb = bases_for("trivial:2", 2)
         p = pmpo_P(s.fd, s.reps, 2, lb)
         assert np.max(np.abs(p.matrix - np.eye(16))) == 0.0
+
+
+class TestProjectorTrace:
+    """tr P^k from the diagonal sweep against the dense rank and the fusion
+    closed form: three independent routes to the same integer."""
+
+    @pytest.mark.parametrize("name", ALL_BUILDERS)
+    def test_matches_dense_rank(self, systems, bases_for, name):
+        s = systems(name)
+        for k in (1, 2, 3, 4):
+            _, lb = bases_for(name, k)
+            rank = operator_rank(pmpo_P(s.fd, s.reps, k, lb))
+            assert abs(projector_trace(s.fd, s.reps, k) - rank) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["dynkin:D5", "dynkin:E6", "dynkin:A7"])
+    def test_matches_dense_rank_k5(self, systems, name):
+        s = systems(name)
+        lb = LoopBasis(StringBasis(s.wn.top, 5), s.wn.mu)
+        rank = operator_rank(pmpo_P(s.fd, s.reps, 5, lb))
+        assert abs(projector_trace(s.fd, s.reps, 5) - rank) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["dynkin:E6", "dynkin:D5"])
+    @pytest.mark.parametrize("k", [2, 4, 6, 10])
+    def test_matches_even_k_fusion_closed_form(self, systems, name, k):
+        s = systems(name)
+        want = sum(int(v) ** 2 for v in s.fd.multiplicities(k // 2).values())
+        assert abs(projector_trace(s.fd, s.reps, k) - want) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["dynkin:A4", "cyclic:3", "dynkin:D4"])
+    def test_sweep_sums_half_ladder_diagonal(self, systems, bases_for, name):
+        s = systems(name)
+        for k in (1, 2, 3):
+            sb, _ = bases_for(name, k)
+            ends = sb.pathset.ends[k]
+            for a in s.fd.labels:
+                eng = LadderEngine(s.reps[a])
+                lad = eng.half_ladder(sb.pathset, k)
+                diag = np.einsum("abpp->abp", lad)
+                got = eng.diagonal_sweep(k)
+                want = np.zeros_like(got)
+                index = {v: i for i, (v, _) in enumerate(s.reps[a].top.vertices)}
+                for p, v in enumerate(ends):
+                    want[:, :, index[v]] += diag[:, :, p]
+                assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestOperatorRank:
