@@ -114,9 +114,6 @@ class LoopBasis:
         self.base = strings.base
         self.mid = strings.end
         self.dim = strings.dim
-        # per loop: index of the first half and of the reversed second half
-        self.half1 = strings.p1_idx
-        self.half2 = strings.p2_idx
         self.fold_factor = np.asarray(
             [math.sqrt(mu[self.base[i]] / mu[self.mid[i]]) for i in range(self.dim)])
         self.block_slices = strings.block_slices

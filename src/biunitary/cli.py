@@ -14,7 +14,9 @@ with its 50x gap and the 1e-8 rank cut are fixed.
 forming the operator, and exits 1 unless that trace lies within 1e-9 of an
 integer.  ``pmpo`` builds the dense P^k for its SVD/eigen rank and its
 idempotency residual, and exits 2 before building it when the two dense
-arrays it holds would exceed half of physical memory.
+arrays it holds would exceed half of physical memory.  ``relcomm`` and
+``verify-theorem`` exit 2 under the same budget before a flat solve whose
+half ladder would exceed it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 
 from . import __version__
@@ -30,6 +32,7 @@ from .bases import LoopBasis, StringBasis
 from .connection import (
     Connection,
     ConnectionError,
+    _fmt,
     build_cyclic_group,
     build_dynkin,
     build_trivial,
@@ -42,16 +45,15 @@ from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
 from .mpo import operator_rank, pmpo_P, projector_trace
 from .nullspace import INTEGRALITY_EPS
-from .strings import flat_fields
+from .strings import DENSE_BUDGET_BYTES, flat_fields
 
 REPORT_VERSION = 1
 
-# pmpo refuses a dense P^k whose arrays would not fit in half of physical memory
-DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt_rows(mat) -> list[list[str]]:
+    """The rows of a complex matrix as "a+bj" strings, each part to 17 digits."""
+    return [[_fmt(z.real) + ("+" if z.imag >= 0 else "-") + _fmt(abs(z.imag)) + "j"
+             for z in row] for row in mat.tolist()]
 
 
 def _build_builtin(tokens: list[str]) -> Connection:
@@ -210,7 +212,9 @@ def cmd_pmpo(args) -> int:
     fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
                                          seed=args.seed, tol=args.tol)
     sbasis = StringBasis(wn.top, args.k)
-    # pmpo_P holds its accumulator and one summand, two dense complex arrays
+    # pmpo_P holds the operator and at most one block product, within two
+    # dense complex dim B_k x dim B_k arrays; its label ladder stacks are
+    # not counted (they can be larger: 30 MiB to 6 MiB on cyclic 5, k = 4)
     need = 2 * 16 * sbasis.dim ** 2
     if need > DENSE_BUDGET_BYTES:
         raise ValueError(f"dense P^k at k={args.k} on dim B_k = {sbasis.dim} needs "
@@ -226,9 +230,7 @@ def cmd_pmpo(args) -> int:
     }
     if args.dump:
         report["basis_legend"] = [list(loop) for loop in lbasis.loops]
-        report["matrix"] = [[_fmt(z.real) + ("+" if z.imag >= 0 else "-")
-                             + _fmt(abs(z.imag)) + "j" for z in row]
-                            for row in p.matrix]
+        report["matrix"] = _fmt_rows(p.matrix)
     lines = [f"projector operator at k = {args.k} (tol {args.tol:g})",
              f"  loop space dimension  {lbasis.dim}",
              f"  rank                  {rank}",
@@ -245,9 +247,7 @@ def cmd_relcomm(args) -> int:
         "flat_dimension": ff.dimension,
     }
     if args.basis and ff.vectors is not None:
-        report["basis"] = [[_fmt(z.real) + ("+" if z.imag >= 0 else "-")
-                            + _fmt(abs(z.imag)) + "j" for z in ff.vectors[:, j]]
-                           for j in range(ff.vectors.shape[1])]
+        report["basis"] = _fmt_rows(ff.vectors.T)
     lines = [f"flat fields at k = {args.k}",
              f"  string space dimension {ff.basis.dim}",
              f"  flat dimension         {ff.dimension}"]
@@ -285,7 +285,6 @@ def cmd_stats(args) -> int:
     scheme = wn.scheme()
     per_level = []
     lines = [f"normalized profiles up to n = {args.n} (tol {args.tol:g})"]
-    import math
     sqw = math.sqrt(fd.w)
     for n in range(1, args.n + 1):
         st = sector_statistics(fd, scheme, n)

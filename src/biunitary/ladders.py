@@ -166,19 +166,19 @@ class LadderEngine:
         return state
 
 
-def paired_string_operator(pairs, basis, col_vertex: str | None = None,
+def paired_string_operator(u1: np.ndarray, u2: np.ndarray, basis,
+                           col_vertex: str | None = None,
                            row_vertex: str | None = None) -> np.ndarray:
-    """Quadratic assembly of ladder tensors on a string basis.
+    """Quadratic assembly of two stacks of ladder tensors on a string basis.
 
-    ``pairs`` iterates over (u1, u2) path-indexed matrices (top x bottom);
-    the result accumulates, over all of them,
+    ``u1`` and ``u2`` are stacks of path-indexed matrices (top x bottom) of
+    shape ``(m, P, P)``; the result sums over the stack axis,
 
-        M[(q1, q2), (p1, p2)] += u1[p1, q1] * conj(u2[p2, q2])
+        M[(q1, q2), (p1, p2)] = sum_s u1[s, p1, q1] * conj(u2[s, p2, q2])
 
     with rows running over strings based at ``row_vertex`` and columns over
-    strings based at ``col_vertex`` (all base vertices when omitted).  The
-    sum runs blockwise over the common-endpoint grids, which keeps every
-    write contiguous.
+    strings based at ``col_vertex`` (all base vertices when omitted).  Each
+    (row grid, column grid) block is one matrix product over the stack axis.
     """
     row_keys = [key for key in basis.grids if row_vertex is None or key[0] == row_vertex]
     col_keys = [key for key in basis.grids if col_vertex is None or key[0] == col_vertex]
@@ -187,34 +187,23 @@ def paired_string_operator(pairs, basis, col_vertex: str | None = None,
     n_rows = basis.dim if row_vertex is None else _block_len(basis, row_vertex)
     n_cols = basis.dim if col_vertex is None else _block_len(basis, col_vertex)
     out = np.zeros((n_rows, n_cols), dtype=complex)
-    for u1, u2 in pairs:
-        if not (np.any(u1) and np.any(u2)):
-            continue
-        for ko in row_keys:
-            qs = basis.block_paths[ko]
-            s1 = u1[:, qs]
-            s2 = u2[:, qs]
-            if not (np.any(s1) and np.any(s2)):
-                continue
-            go = basis.grids[ko]
-            r0 = int(go.flat[0]) - row_off
-            nq = len(qs)
-            for ki in col_keys:
-                ps = basis.block_paths[ki]
-                usub1 = s1[ps]
-                if not np.any(usub1):
-                    continue
-                usub2 = s2[ps]
-                if not np.any(usub2):
-                    continue
-                blk = np.einsum("ia,jb->abij", usub1, np.conj(usub2))
-                gi = basis.grids[ki]
-                c0 = int(gi.flat[0]) - col_off
-                np_ = len(ps)
-                # splitting both axes of an output block keeps it a view;
-                # adding into it avoids a copy of the non-contiguous blk
-                dst = out[r0:r0 + nq * nq, c0:c0 + np_ * np_].reshape(nq, nq, np_, np_)
-                dst += blk
+    for ko in row_keys:
+        qs = basis.block_paths[ko]
+        nq = len(qs)
+        r0 = int(basis.grids[ko].flat[0]) - row_off
+        # (q1, p1, s) and (s, q2, p2): the stack axis is the inner dimension
+        # of every block product, and np.take copies come out contiguous
+        s1 = np.take(u1, qs, axis=2).transpose(2, 1, 0)
+        s2 = np.conj(np.take(u2, qs, axis=2)).transpose(0, 2, 1)
+        for ki in col_keys:
+            ps = basis.block_paths[ki]
+            np_ = len(ps)
+            c0 = int(basis.grids[ki].flat[0]) - col_off
+            prod = (np.take(s1, ps, axis=1).reshape(nq * np_, -1)
+                    @ np.take(s2, ps, axis=2).reshape(-1, nq * np_))
+            # splitting both axes of an output block keeps it a view
+            dst = out[r0:r0 + nq * nq, c0:c0 + np_ * np_].reshape(nq, nq, np_, np_)
+            dst += prod.reshape(nq, np_, nq, np_).transpose(0, 2, 1, 3)
     return out
 
 

@@ -12,15 +12,19 @@ projector operator a genuine two-sided check.
 from __future__ import annotations
 
 import math
-from collections import deque
+import os
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
-from .ladders import LadderEngine, paired_string_operator
+from .ladders import LadderEngine, PathSet, paired_string_operator
 from .nullspace import gram_null_space
+
+# Dense arrays a command may hold at once must fit in half of physical memory
+DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 __all__ = [
     "TraceData",
@@ -57,9 +61,8 @@ class TraceData:
         self.diag_mask = basis.p1_idx == basis.p2_idx
         self.local_weight = np.array(
             [gamma1 ** (-k) * mu[basis.end[i]] / mu[basis.base[i]] for i in range(basis.dim)])
-        self.block_weight = np.array(
-            [mu[basis.base[i]] ** 2 / w for i in range(basis.dim)])
-        self.gram = self.block_weight * self.local_weight  # st-2 inner product is diagonal
+        # the st-2 inner product is diagonal: local weight times mu_base^2 / w
+        self.gram = _st2_weights(basis, mu, gamma1 ** (-k), w)
 
     def trace_at(self, x: str, field: Field) -> complex:
         sl = self.basis.block_slices[x]
@@ -67,8 +70,7 @@ class TraceData:
         return complex(np.sum(field.vec[sl][m] * self.local_weight[sl][m]))
 
     def trace(self, field: Field) -> complex:
-        return complex(np.sum(field.vec[self.diag_mask]
-                              * (self.local_weight * self.block_weight)[self.diag_mask]))
+        return complex(np.sum(field.vec[self.diag_mask] * self.gram[self.diag_mask]))
 
     def inner(self, a: Field, b: Field) -> complex:
         return complex(np.sum(np.conj(a.vec) * b.vec * self.gram))
@@ -111,9 +113,7 @@ def transport_T(a_conn: Connection, k: int, zeta1: str, zeta2: str,
         raise ConnectionError("boundary edges must share both endpoints")
     x, y = left.source(zeta1), left.range(zeta1)
     i1, i2 = eng.left_index[zeta1], eng.left_index[zeta2]
-    mat = paired_string_operator(
-        ((lad[i1, b], lad[i2, b]) for b in range(lad.shape[1])),
-        basis, col_vertex=x, row_vertex=y)
+    mat = paired_string_operator(lad[i1], lad[i2], basis, col_vertex=x, row_vertex=y)
     return TransportMap(x=x, y=y, zeta1=zeta1, zeta2=zeta2, matrix=mat)
 
 
@@ -144,35 +144,27 @@ def _total_defect_sq(lad: np.ndarray, conn: Connection, basis: StringBasis) -> t
 
     Works on the unrestricted path-pair space, which upper-bounds the
     restriction to strings; a value of exactly zero certifies that every
-    pinned transport is the delta identity, so everything is flat.
+    pinned transport is the delta identity, so everything is flat.  Only
+    delta-valued connections reach zero, and their ladder entries are small
+    integers, so every partial sum here is exact in any summation order.
     """
-    left = conn.left
-    paths = basis.pathset
-    k = basis.k
-    starts = np.array([conn.top.source(p[0]) for p in paths.paths[k]])
-    total = 0.0
-    scale = 0.0
-    by_pair: dict[tuple[str, str], list[int]] = {}
-    for i, (e, s, r) in enumerate(left.edges):
-        by_pair.setdefault((s, r), []).append(i)
-    # per-edge bond Gram of the ladder, shared by every pair it appears in
-    bond_gram = [np.einsum("bpq,cpq->bc", np.conj(lad[i]), lad[i]) for i in range(lad.shape[0])]
-    for (x, y), idxs in by_pair.items():
-        n_y = int(np.count_nonzero(starts == y))
-        mask = starts == x
-        for i1 in idxs:
-            for i2 in idxs:
-                a = lad[i1]   # (bond, p, q)
-                c = lad[i2]
-                t_sq = float(np.real(np.sum(bond_gram[i1] * np.conj(bond_gram[i2]))))
-                scale += t_sq
-                total += t_sq
-                if i1 == i2:
-                    # cross terms against the identity, supported on x == y
-                    s1 = np.einsum("bpp->b", a[:, mask][:, :, mask])
-                    s2 = np.einsum("bpp->b", c[:, mask][:, :, mask])
-                    total += -2.0 * float(np.real(np.sum(np.conj(s1) * s2))) + n_y * n_y
-    return total, scale
+    pair = [(s, r) for _, s, r in conn.left.edges]
+    same = np.array([[p1 == p2 for p2 in pair] for p1 in pair])
+    starts = Counter(conn.top.source(p[0]) for p in basis.pathset.paths[basis.k])
+    n_y = np.array([starts[r] for _, r in pair])
+    # bond Gram of each anchor's ladder, and the Frobenius products of each
+    # pair of them: |T_{z1 z2}|^2 summed over the string pairs.  One product
+    # per anchor conjugates one anchor's ladder at a time, not a second
+    # copy of the whole ladder.
+    flat = lad.reshape(lad.shape[0], lad.shape[1], -1)
+    bond_gram = np.array([np.conj(f) @ f.T for f in flat]).reshape(len(flat), -1)
+    t_sq = np.real(bond_gram @ np.conj(bond_gram).T)
+    scale = float(np.sum(t_sq[same]))
+    # cross terms against the identity: the ladder vanishes outside the
+    # (source, range) block of its anchor, so its trace is supported on x == y
+    tr = np.einsum("abpp->ab", lad)
+    cross = float(np.sum(n_y * n_y)) - 2.0 * float(np.vdot(tr, tr).real)
+    return scale + cross, scale
 
 
 def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
@@ -227,18 +219,28 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     Returns the dimension and, on request, an st-2 orthonormal basis of
     flat fields, rebuilt blockwise as ``R_x v``.  When every constraint
     vanishes identically the whole string space is flat and no system is
-    formed.
+    formed.  ValueError is raised, before any string basis or ladder is
+    built, when the half ladder would exceed ``DENSE_BUDGET_BYTES``.
     """
     wt = _constraint_blocks(w_conn)
-    basis = StringBasis(w_conn.top, k)
+    pathset = PathSet(w_conn.top, k)
+    n_paths = pathset.count(k)
+    # half_ladder holds two (nl, max(nl, nr), P_k, P_k) complex states; the
+    # string basis and every transport are smaller
+    nl, nr = len(wt.left.edges), len(wt.right.edges)
+    need = 2 * 16 * nl * max(nl, nr) * n_paths ** 2
+    if need > DENSE_BUDGET_BYTES:
+        raise ValueError(f"flat solve at k={k} on {n_paths} paths needs {need / 2**30:.1f} GiB "
+                         f"for its half ladder, above the budget of "
+                         f"{DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
+    basis = StringBasis(w_conn.top, k, pathset)
     eng = LadderEngine(wt)
     lad = eng.half_ladder(basis.pathset, k)
     total, scale = _total_defect_sq(lad, wt, basis)
     if total <= 1e-20 * max(1.0, scale):
         vecs = None
         if return_basis:
-            g = np.array([math.sqrt(mu_w) for mu_w in _st2_gram(basis, w_conn, k)])
-            vecs = np.diag(1.0 / g).astype(complex)
+            vecs = np.diag(1.0 / np.sqrt(_st2_gram(basis, w_conn, k))).astype(complex)
         return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs,
                                system_scale=math.sqrt(scale), exact=True)
 
@@ -281,14 +283,23 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
                            system_scale=smax, exact=False)
 
 
+def _st2_weights(basis: StringBasis, mu: dict[str, float], inv_gamma_k: float,
+                 w: float) -> np.ndarray:
+    """The diagonal of the st-2 Gram matrix, gamma1^-k mu_end mu_base / w,
+    given ``inv_gamma_k = gamma1^-k``."""
+    g = np.empty(basis.dim)
+    for (x, v), grid in basis.grids.items():
+        g[grid] = inv_gamma_k * mu[v] * mu[x] / w
+    return g
+
+
 def _st2_gram(basis: StringBasis, w_conn: Connection, k: int) -> np.ndarray:
+    """The st-2 weights of a connection's strings, w from its base weights."""
     mu = w_conn.mu
-    w = sum(mu[x] ** 2 for x in basis.base_vertices)
-    gamma1 = w_conn.gamma[0] if w_conn.gamma else None
-    if gamma1 is None:
+    if w_conn.gamma is None:
         raise ConnectionError("connection carries no eigenvalue data for the trace")
-    return np.array([gamma1 ** (-k) * mu[basis.end[i]] * mu[basis.base[i]] / w
-                     for i in range(basis.dim)])
+    return _st2_weights(basis, mu, w_conn.gamma[0] ** (-k),
+                        sum(mu[x] ** 2 for x in basis.base_vertices))
 
 
 # -- Jones projections --------------------------------------------------------
@@ -331,22 +342,15 @@ def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: in
     gens = [Field.identity(basis)]
     gens += [jones_projection(g, mu, gamma1, i, k, basis) for i in range(1, k)]
 
-    def gram_rank(vs):
-        m = np.array([v.vec for v in vs])
-        gm = (m.conj() * tr.gram[None, :]) @ m.T
-        ev = np.linalg.eigvalsh(gm)
-        top = float(ev[-1]) if len(ev) else 0.0
-        return int(np.count_nonzero(ev > 1e-10 * max(1.0, top)))
-
     span = list(gens)
-    rank = gram_rank(span)
+    rank = _st2_rank([v.vec for v in span], tr.gram)
     while True:
         new = []
         for a in span:
             for b in gens[1:]:
                 new.append(a @ b)
         trial = span + new
-        r2 = gram_rank(trial)
+        r2 = _st2_rank([v.vec for v in trial], tr.gram)
         if r2 == rank:
             return rank
         # keep an independent subset to bound growth
@@ -354,16 +358,20 @@ def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: in
         rank = r2
 
 
+def _st2_rank(vecs: list[np.ndarray], gram: np.ndarray) -> int:
+    """Rank of the st-2 Gram matrix of some string vectors (1e-10 cut)."""
+    m = np.array(vecs)
+    ev = np.linalg.eigvalsh((m.conj() * gram[None, :]) @ m.T)
+    top = float(ev[-1]) if len(ev) else 0.0
+    return int(np.count_nonzero(ev > 1e-10 * max(1.0, top)))
+
+
 def _prune(vs, tr: TraceData, target: int):
     kept = []
     m = []
     for v in vs:
         m.append(v.vec)
-        arr = np.array(m)
-        gm = (arr.conj() * tr.gram[None, :]) @ arr.T
-        ev = np.linalg.eigvalsh(gm)
-        top = float(ev[-1])
-        if np.count_nonzero(ev > 1e-10 * max(1.0, top)) == len(m):
+        if _st2_rank(m, tr.gram) == len(m):
             kept.append(v)
         else:
             m.pop()

@@ -1,10 +1,18 @@
 """Command-line interface: pipelines, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import biunitary.cli
+import biunitary.strings
+from biunitary import PathSet, build_dynkin
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
+from biunitary.strings import _constraint_blocks
 
 
 def run(capsys, *argv):
@@ -195,3 +203,45 @@ def test_non_integral_trace_is_numeric_failure(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: trace of P^k at k=1 is not integral: 2.5, residual")
     assert "Traceback" not in err
+
+
+def half_ladder_bytes(conn, k):
+    """Two complex (nl, max(nl, nr), P_k, P_k) states of the flat solve."""
+    wt = _constraint_blocks(conn)
+    nl, nr = len(wt.left.edges), len(wt.right.edges)
+    return 2 * 16 * nl * max(nl, nr) * PathSet(conn.top, k).count(k) ** 2
+
+
+def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
+    need = half_ladder_bytes(build_dynkin("A3"), 2)
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    for command in ("relcomm", "verify-theorem"):
+        code, out, err = run(capsys, command, "--builtin", "dynkin A3", "-k", "2")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: flat solve at k=2 on ")
+        assert "GiB" in err
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need)
+    code, _, _ = run(capsys, "relcomm", "--builtin", "dynkin A3", "-k", "2")
+    assert code == 0
+
+
+def test_oversized_flat_solve_stops_before_allocating():
+    # D5 at k=12 has 2704 paths: the half ladder alone would be 13.1 GiB.  The
+    # child runs under a 2 GiB address-space cap, so reaching any allocation
+    # of that size would end in MemoryError (exit 1), not in exit 2.
+    if half_ladder_bytes(build_dynkin("D5"), 12) <= biunitary.strings.DENSE_BUDGET_BYTES:
+        pytest.skip("this machine's memory budget admits the case")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biunitary.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from biunitary.cli import main\n"
+            "sys.exit(main(['relcomm', '--builtin', 'dynkin D5', '-k', '12']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 13.1 GiB")
