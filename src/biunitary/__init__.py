@@ -65,7 +65,7 @@ from .graphs import (
     reverse_graph,
     validate_square,
 )
-from .ladders import LadderEngine, PathSet
+from .ladders import Ladder, LadderEngine, PathSet
 from .mpo import (
     MPOOperator,
     PhiMap,

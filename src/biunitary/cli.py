@@ -16,7 +16,7 @@ integer.  ``pmpo`` builds the dense P^k for its SVD/eigen rank and its
 idempotency residual, and exits 2 before building it when the two dense
 arrays it holds would exceed half of physical memory.  ``relcomm`` and
 ``verify-theorem`` exit 2 under the same budget before a flat solve whose
-half ladder would exceed it.
+half-ladder blocks or transports would exceed it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
 from .mpo import operator_rank, pmpo_P, projector_trace
 from .nullspace import INTEGRALITY_EPS
-from .strings import DENSE_BUDGET_BYTES, flat_fields
+from .strings import check_budget, check_flat_ladder, flat_fields
 
 REPORT_VERSION = 1
 
@@ -193,6 +193,8 @@ def _validate_config(args) -> None:
 def _theorem_rows(conn, args):
     fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
                                          seed=args.seed, tol=args.tol)
+    # the half ladders grow with k: refuse an oversized last one before any solve
+    check_flat_ladder(wn, args.k)
     rows = []
     for k in range(1, args.k + 1):
         # P^k is a Hermitian idempotent: its rank is its trace, if integral
@@ -212,14 +214,9 @@ def cmd_pmpo(args) -> int:
     fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
                                          seed=args.seed, tol=args.tol)
     sbasis = StringBasis(wn.top, args.k)
-    # pmpo_P holds the operator and at most one block product, within two
-    # dense complex dim B_k x dim B_k arrays; its label ladder stacks are
-    # not counted (they can be larger: 30 MiB to 6 MiB on cyclic 5, k = 4)
-    need = 2 * 16 * sbasis.dim ** 2
-    if need > DENSE_BUDGET_BYTES:
-        raise ValueError(f"dense P^k at k={args.k} on dim B_k = {sbasis.dim} needs "
-                         f"{need / 2**30:.1f} GiB, above the budget of "
-                         f"{DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
+    # pmpo_P holds the operator and at most one block product
+    check_budget(2 * 16 * sbasis.dim ** 2, f"dense P^k at k={args.k} on dim B_k = {sbasis.dim}",
+                 "two dense dim B_k x dim B_k arrays")
     lbasis = LoopBasis(sbasis, wn.mu)
     p = pmpo_P(fd, reps, args.k, lbasis)
     rank = operator_rank(p)

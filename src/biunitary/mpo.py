@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import LoopBasis, StringBasis
 from .connection import Connection, renormalize
-from .ladders import LadderEngine, paired_string_operator
+from .ladders import Ladder, LadderEngine, paired_string_operator
 from .nullspace import RANK_EPS
 
 __all__ = [
@@ -66,14 +66,13 @@ class MPOOperator:
 
 def mpo_O_tilde(a_conn: Connection, k: int, basis: StringBasis,
                 engine: LadderEngine | None = None,
-                ladder: np.ndarray | None = None) -> MPOOperator:
+                ladder: Ladder | None = None) -> MPOOperator:
     """The string-side summand operator on B_k: the half ladder paired with
     itself, the shared boundary bond summed."""
     if ladder is None:
         eng = engine if engine is not None else LadderEngine(a_conn)
         ladder = eng.half_ladder(basis.pathset, k)
-    stack = ladder.reshape(-1, *ladder.shape[2:])   # (anchor, bond) pairs
-    mat = paired_string_operator(stack, stack, basis)
+    mat = paired_string_operator(ladder.pairs(), basis)
     return MPOOperator(mat, basis, tag=f"Ot[{a_conn.name},k={k}]")
 
 
@@ -102,16 +101,12 @@ def pmpo_P_tilde(fd, reps: dict[str, Connection], k: int, basis: StringBasis) ->
     """The string-side projector sum_a (d_a / w) Õ_a^k, conjugate to P^k
     under the folding map.
 
-    Every summand pairs its ladder stack with itself, so scaling each stack
-    by sqrt(d_a / w) makes the whole sum one pairing of the concatenated
-    stacks.
+    Every summand pairs its ladder with itself, so the whole sum is one
+    pairing of the label ladders, each scaled by sqrt(d_a / w).
     """
-    stacks = []
-    for a in fd.labels:
-        lad = LadderEngine(reps[a]).half_ladder(basis.pathset, k)
-        stacks.append(lad.reshape(-1, *lad.shape[2:]) * np.sqrt(fd.d[a] / fd.w))
-    stack = np.concatenate(stacks)
-    return MPOOperator(paired_string_operator(stack, stack, basis), basis, tag=f"Pt[k={k}]")
+    pairs = (term for a in fd.labels for term in LadderEngine(reps[a])
+             .half_ladder(basis.pathset, k).pairs(np.sqrt(fd.d[a] / fd.w)))
+    return MPOOperator(paired_string_operator(pairs, basis), basis, tag=f"Pt[k={k}]")
 
 
 def pmpo_P(fd, reps: dict[str, Connection], k: int, basis: LoopBasis) -> MPOOperator:
@@ -124,8 +119,8 @@ def projector_trace(fd, reps: dict[str, Connection], k: int) -> float:
 
     The fold is a diagonal similarity, so tr O_a^k = tr Õ_a^k, and the
     diagonal of Õ_a^k pairs the top == bottom half-ladder entries over the
-    strings of each (base, end) grid: tr Õ_a^k = sum |S[a, b, v]|^2 with S
-    from :meth:`LadderEngine.diagonal_sweep`.  P^k is a Hermitian
+    strings of each (base, end) grid: tr Õ_a^k = sum |S|^2 over the grid
+    sums S of :meth:`LadderEngine.diagonal_sweep`.  P^k is a Hermitian
     idempotent, so the trace is its rank.  The result is a float: its
     distance to the nearest integer is the evidence, and at large k (or
     large ranks) float rounding alone breaks integrality, so a caller that
@@ -133,8 +128,8 @@ def projector_trace(fd, reps: dict[str, Connection], k: int) -> float:
     """
     total = 0.0
     for a in fd.labels:
-        s = LadderEngine(reps[a]).diagonal_sweep(k)
-        total += fd.d[a] / fd.w * float(np.sum(np.abs(s) ** 2))
+        sweep = LadderEngine(reps[a]).diagonal_sweep(k)
+        total += fd.d[a] / fd.w * sum(float(np.sum(np.abs(s) ** 2)) for s in sweep.values())
     return total
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
-from .ladders import LadderEngine, PathSet, paired_string_operator
+from .ladders import Ladder, LadderEngine, PathSet, grid_counts, paired_string_operator
 from .nullspace import gram_null_space
 
 # Dense arrays a command may hold at once must fit in half of physical memory
@@ -35,6 +35,13 @@ __all__ = [
     "jones_projection",
     "jones_span_dimension",
 ]
+
+
+def check_budget(need: int, what: str, purpose: str) -> None:
+    """ValueError when ``need`` bytes exceed ``DENSE_BUDGET_BYTES``."""
+    if need > DENSE_BUDGET_BYTES:
+        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB for {purpose}, above the budget "
+                         f"of {DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
 
 
 # -- traces -------------------------------------------------------------------
@@ -98,7 +105,7 @@ class TransportMap:
 
 def transport_T(a_conn: Connection, k: int, zeta1: str, zeta2: str,
                 basis: StringBasis, engine: LadderEngine | None = None,
-                ladder: np.ndarray | None = None) -> TransportMap:
+                ladder: Ladder | None = None) -> TransportMap:
     """The two-boundary ladder operator with bonds zeta1 and zeta2 pinned.
 
     Both bonds must be vertical edges with the same endpoints x -> y; the
@@ -112,8 +119,8 @@ def transport_T(a_conn: Connection, k: int, zeta1: str, zeta2: str,
     if left.source(zeta1) != left.source(zeta2) or left.range(zeta1) != left.range(zeta2):
         raise ConnectionError("boundary edges must share both endpoints")
     x, y = left.source(zeta1), left.range(zeta1)
-    i1, i2 = eng.left_index[zeta1], eng.left_index[zeta2]
-    mat = paired_string_operator(lad[i1], lad[i2], basis, col_vertex=x, row_vertex=y)
+    mat = paired_string_operator(lad.pinned_pairs(zeta1, zeta2), basis,
+                                 col_vertex=x, row_vertex=y)
     return TransportMap(x=x, y=y, zeta1=zeta1, zeta2=zeta2, matrix=mat)
 
 
@@ -137,34 +144,6 @@ class FlatFieldResult:
 def _constraint_blocks(w_conn: Connection):
     """The product connection of a connection with its vertical reflection."""
     return vertical_product(w_conn, renormalize(w_conn, "bar"))
-
-
-def _total_defect_sq(lad: np.ndarray, conn: Connection, basis: StringBasis) -> tuple[float, float]:
-    """Frobenius norm of the full constraint system, without assembling it.
-
-    Works on the unrestricted path-pair space, which upper-bounds the
-    restriction to strings; a value of exactly zero certifies that every
-    pinned transport is the delta identity, so everything is flat.  Only
-    delta-valued connections reach zero, and their ladder entries are small
-    integers, so every partial sum here is exact in any summation order.
-    """
-    pair = [(s, r) for _, s, r in conn.left.edges]
-    same = np.array([[p1 == p2 for p2 in pair] for p1 in pair])
-    starts = Counter(conn.top.source(p[0]) for p in basis.pathset.paths[basis.k])
-    n_y = np.array([starts[r] for _, r in pair])
-    # bond Gram of each anchor's ladder, and the Frobenius products of each
-    # pair of them: |T_{z1 z2}|^2 summed over the string pairs.  One product
-    # per anchor conjugates one anchor's ladder at a time, not a second
-    # copy of the whole ladder.
-    flat = lad.reshape(lad.shape[0], lad.shape[1], -1)
-    bond_gram = np.array([np.conj(f) @ f.T for f in flat]).reshape(len(flat), -1)
-    t_sq = np.real(bond_gram @ np.conj(bond_gram).T)
-    scale = float(np.sum(t_sq[same]))
-    # cross terms against the identity: the ladder vanishes outside the
-    # (source, range) block of its anchor, so its trace is supported on x == y
-    tr = np.einsum("abpp->ab", lad)
-    cross = float(np.sum(n_y * n_y)) - 2.0 * float(np.vdot(tr, tr).real)
-    return scale + cross, scale
 
 
 def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
@@ -197,6 +176,18 @@ def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
     return tree
 
 
+def check_flat_ladder(w_conn: Connection, k: int) -> tuple[LadderEngine, dict, str]:
+    """Check the half-ladder sweep of ``flat_fields(w_conn, k)`` against the
+    budget, listing no path; return its engine, grid sizes and the name."""
+    eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
+    counts = grid_counts(g, k)
+    what = f"flat solve at k={k} on {sum(counts.values())} paths"
+    # the sweep holds two consecutive states, and the last two are the largest
+    need = 16 * (eng.block_entries(grid_counts(g, k - 1), k - 1) + eng.block_entries(counts, k))
+    check_budget(need, what, "its half ladder")
+    return eng, counts, what
+
+
 def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFieldResult:
     """Solve the flatness system of the squared connection on fields of strings.
 
@@ -219,27 +210,19 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     Returns the dimension and, on request, an st-2 orthonormal basis of
     flat fields, rebuilt blockwise as ``R_x v``.  When every constraint
     vanishes identically the whole string space is flat and no system is
-    formed.  ValueError is raised, before any string basis or ladder is
-    built, when the half ladder would exceed ``DENSE_BUDGET_BYTES``.
+    formed.  ValueError is raised before the half ladder, the transports or
+    the shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
     """
-    wt = _constraint_blocks(w_conn)
+    eng, counts, what = check_flat_ladder(w_conn, k)
+    wt = eng.conn
     pathset = PathSet(w_conn.top, k)
-    n_paths = pathset.count(k)
-    # half_ladder holds two (nl, max(nl, nr), P_k, P_k) complex states; the
-    # string basis and every transport are smaller
-    nl, nr = len(wt.left.edges), len(wt.right.edges)
-    need = 2 * 16 * nl * max(nl, nr) * n_paths ** 2
-    if need > DENSE_BUDGET_BYTES:
-        raise ValueError(f"flat solve at k={k} on {n_paths} paths needs {need / 2**30:.1f} GiB "
-                         f"for its half ladder, above the budget of "
-                         f"{DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
-    basis = StringBasis(w_conn.top, k, pathset)
-    eng = LadderEngine(wt)
-    lad = eng.half_ladder(basis.pathset, k)
-    total, scale = _total_defect_sq(lad, wt, basis)
+    lad = eng.half_ladder(pathset, k)
+    total, scale = lad.pinned_defect(counts)
     if total <= 1e-20 * max(1.0, scale):
+        basis = StringBasis(w_conn.top, k, pathset)
         vecs = None
         if return_basis:
+            check_budget(16 * basis.dim ** 2, what, "its basis")
             vecs = np.diag(1.0 / np.sqrt(_st2_gram(basis, w_conn, k))).astype(complex)
         return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs,
                                system_scale=math.sqrt(scale), exact=True)
@@ -247,9 +230,15 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     by_pair: dict[tuple[str, str], list[str]] = {}
     for e, s, r in wt.left.edges:
         by_pair.setdefault((s, r), []).append(e)
+    dims: dict[str, int] = {}       # dim B_k(x) per base vertex
+    for (x, _), c in counts.items():
+        dims[x] = dims.get(x, 0) + c * c
+    root = min(dims, key=lambda x: (dims[x], x))
+    n0 = dims[root]
+    check_budget(16 * (max(dims.get(x, 0) * dims.get(y, 0) for x, y in by_pair)
+                       + n0 * sum(dims.values())), what, "its transports and reach matrices")
+    basis = StringBasis(w_conn.top, k, pathset)
     slices = basis.block_slices
-    root = min(basis.base_vertices, key=lambda x: (slices[x].stop - slices[x].start, x))
-    n0 = slices[root].stop - slices[root].start
     reach = {root: np.eye(n0, dtype=complex)}
     tree = _vertical_tree(by_pair, root, basis.base_vertices)
     for x, y, zeta in tree:

@@ -9,9 +9,10 @@ import pytest
 
 import biunitary.cli
 import biunitary.strings
-from biunitary import PathSet, build_dynkin
+from biunitary import LadderEngine, build_dynkin
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
+from biunitary.ladders import grid_counts
 from biunitary.strings import _constraint_blocks
 
 
@@ -172,13 +173,13 @@ def test_relcomm_header_claims_no_tolerance(capsys):
 
 def test_pmpo_over_memory_budget_is_input_error(capsys, monkeypatch):
     # A3 at k=2 has dim B_k = 4: two dense complex arrays are 512 bytes
-    monkeypatch.setattr(biunitary.cli, "DENSE_BUDGET_BYTES", 511)
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 511)
     code, out, err = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: dense P^k at k=2 on dim B_k = 4 ")
-    monkeypatch.setattr(biunitary.cli, "DENSE_BUDGET_BYTES", 512)
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 512)
     code, _, _ = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
     assert code == 0
 
@@ -206,10 +207,19 @@ def test_non_integral_trace_is_numeric_failure(capsys, monkeypatch):
 
 
 def half_ladder_bytes(conn, k):
-    """Two complex (nl, max(nl, nr), P_k, P_k) states of the flat solve."""
-    wt = _constraint_blocks(conn)
-    nl, nr = len(wt.left.edges), len(wt.right.edges)
-    return 2 * 16 * nl * max(nl, nr) * PathSet(conn.top, k).count(k) ** 2
+    """The blocks of the flat solve's last two half-ladder states."""
+    eng = LadderEngine(_constraint_blocks(conn))
+    return 16 * sum(eng.block_entries(grid_counts(conn.top, j), j) for j in (k - 1, k))
+
+
+def transport_bytes(conn, k):
+    """The flat solve's largest transport and its reach matrices."""
+    dims = {}
+    for (x, _), n in grid_counts(conn.top, k).items():
+        dims[x] = dims.get(x, 0) + n * n
+    n0 = min(dims.values())
+    pairs = {(s, r) for _, s, r in _constraint_blocks(conn).left.edges}
+    return 16 * (max(dims[x] * dims[y] for x, y in pairs) + n0 * sum(dims.values()))
 
 
 def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
@@ -228,10 +238,11 @@ def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
 
 
 def test_oversized_flat_solve_stops_before_allocating():
-    # D5 at k=12 has 2704 paths: the half ladder alone would be 13.1 GiB.  The
+    # D5 at k=12 has 2704 paths: its half-ladder blocks take 0.6 GiB, but its
+    # largest transport with the reach matrices would take 82073.8 GiB.  The
     # child runs under a 2 GiB address-space cap, so reaching any allocation
     # of that size would end in MemoryError (exit 1), not in exit 2.
-    if half_ladder_bytes(build_dynkin("D5"), 12) <= biunitary.strings.DENSE_BUDGET_BYTES:
+    if transport_bytes(build_dynkin("D5"), 12) <= biunitary.strings.DENSE_BUDGET_BYTES:
         pytest.skip("this machine's memory budget admits the case")
     src = os.path.dirname(os.path.dirname(os.path.abspath(biunitary.cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
@@ -244,4 +255,41 @@ def test_oversized_flat_solve_stops_before_allocating():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 13.1 GiB")
+    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 82073.8 GiB")
+
+
+@pytest.mark.parametrize("command", ["relcomm", "verify-theorem"])
+def test_flat_preflight_lists_no_path(capsys, command):
+    # 170459392 paths of length 30: only their counts are ever formed
+    code, out, err = run(capsys, command, "--builtin", "dynkin D5", "-k", "30")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: flat solve at k=30 on 170459392 paths needs ")
+    assert "for its half ladder" in err
+
+
+def test_flat_transports_over_budget_stop_before_the_basis(capsys, monkeypatch):
+    # D5 at k=8: a few MiB of ladder blocks, 4.4 GiB of transports
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 4 << 30)
+    monkeypatch.setattr(biunitary.strings, "StringBasis", None)
+    code, out, err = run(capsys, "relcomm", "--builtin", "dynkin D5", "-k", "8")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 4.4 GiB "
+                          "for its transports and reach matrices")
+
+
+def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
+    # trivial 3 at k=5 is all flat: no transport is formed, and its identity
+    # basis would be 59049 x 59049
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 4 << 30)
+    code, out, _ = run(capsys, "relcomm", "--builtin", "trivial 3", "-k", "5")
+    assert code == 0
+    assert "flat dimension         59049" in out
+    code, out, err = run(capsys, "relcomm", "--builtin", "trivial 3", "-k", "5", "--basis")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: flat solve at k=5 on 243 paths needs 52.0 GiB for its basis")

@@ -1,13 +1,18 @@
-"""The stacked ladder contraction against the per-term loop it replaced."""
+"""The block half ladder and its stacked contraction against the dense sweep
+and the per-term loop they replaced."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from biunitary import LadderEngine, StringBasis, mpo_O, mpo_O_tilde, pmpo_P, pmpo_P_tilde
-from biunitary.ladders import paired_string_operator
-from biunitary.strings import _constraint_blocks, _total_defect_sq
+from biunitary import (LadderEngine, PathSet, StringBasis, mpo_O, mpo_O_tilde, pmpo_P,
+                       pmpo_P_tilde)
+from biunitary.ladders import grid_counts, paired_string_operator
+from biunitary.strings import _constraint_blocks
 
 from conftest import ALL_BUILDERS
+from dense_ladder import dense_half_ladder, dense_slice
 
 
 def per_term_paired_operator(u1, u2, basis, col_vertex=None, row_vertex=None):
@@ -43,28 +48,87 @@ def per_term_paired_operator(u1, u2, basis, col_vertex=None, row_vertex=None):
     return out
 
 
-def constraint_stacks(conn, k):
-    """Two different stacks on the flat system's half ladder, and its basis."""
+def constraint_ladders(conn, k):
+    """The flat system's half ladder, as blocks and dense, with the product
+    connection and the string basis."""
+    wt = _constraint_blocks(conn)
     basis = StringBasis(conn.top, k)
-    lad = LadderEngine(_constraint_blocks(conn)).half_ladder(basis.pathset, k)
-    u1 = lad.reshape(-1, *lad.shape[2:])
+    lad = LadderEngine(wt).half_ladder(basis.pathset, k)
+    return wt, lad, dense_half_ladder(wt, basis.pathset, k), basis
+
+
+def constraint_stacks(conn, k):
+    """Two different dense stacks on the flat system's half ladder, and its basis."""
+    _, _, dense, basis = constraint_ladders(conn, k)
+    u1 = dense.reshape(-1, *dense.shape[2:])
     return u1, np.roll(u1, 1, axis=0), basis
 
 
+def dense_total_defect_sq(lad, conn, basis):
+    """The former ``strings._total_defect_sq`` on the dense ladder."""
+    pair = [(s, r) for _, s, r in conn.left.edges]
+    same = np.array([[p1 == p2 for p2 in pair] for p1 in pair])
+    starts = Counter(conn.top.source(p[0]) for p in basis.pathset.paths[basis.k])
+    n_y = np.array([starts[r] for _, r in pair])
+    flat = lad.reshape(lad.shape[0], lad.shape[1], -1)
+    bond_gram = np.array([np.conj(f) @ f.T for f in flat]).reshape(len(flat), -1)
+    t_sq = np.real(bond_gram @ np.conj(bond_gram).T)
+    scale = float(np.sum(t_sq[same]))
+    tr = np.einsum("abpp->ab", lad)
+    cross = float(np.sum(n_y * n_y)) - 2.0 * float(np.vdot(tr, tr).real)
+    return scale + cross, scale
+
+
 CASES = [(name, k) for name in ALL_BUILDERS for k in (1, 2, 3)]
+LARGE = [(name, 5) for name in ("dynkin:D5", "dynkin:E6", "dynkin:A7")]
+
+
+class TestBlockLadder:
+    @pytest.mark.parametrize("name,k", CASES + LARGE)
+    def test_blocks_are_the_dense_nonzeros(self, systems, name, k):
+        wt, lad, dense, basis = constraint_ladders(systems(name).wn, k)
+        covered = np.zeros(dense.shape, dtype=bool)
+        for key, blk in lad.blocks.items():
+            ix = dense_slice(wt, basis.pathset, k, key)
+            assert blk.shape == dense[ix].shape
+            assert np.max(np.abs(blk - dense[ix])) < 1e-12
+            covered[ix] = True
+        assert not np.any(dense[~covered])
+
+    @pytest.mark.parametrize("name", ALL_BUILDERS)
+    def test_preflight_counts_the_blocks(self, systems, name):
+        wn = systems(name).wn
+        eng = LadderEngine(_constraint_blocks(wn))
+        pathset = PathSet(wn.top, 4)
+        for k in (1, 2, 3, 4):
+            counts = grid_counts(wn.top, k)
+            listed = Counter((wn.top.source(p[0]), v)
+                             for p, v in zip(pathset.paths[k], pathset.ends[k]))
+            assert counts == dict(listed)
+            assert 16 * eng.block_entries(counts, k) == eng.half_ladder(pathset, k).nbytes
 
 
 class TestStackedContraction:
     @pytest.mark.parametrize("name,k", CASES)
     def test_matches_per_term_loop(self, systems, name, k):
-        u1, u2, basis = constraint_stacks(systems(name).wn, k)
-        want = per_term_paired_operator(u1, u2, basis)
-        assert np.max(np.abs(paired_string_operator(u1, u2, basis) - want)) < 1e-12
+        wt, lad, dense, basis = constraint_ladders(systems(name).wn, k)
+        u = dense.reshape(-1, *dense.shape[2:])
+        want = per_term_paired_operator(u, u, basis)
+        assert np.max(np.abs(paired_string_operator(lad.pairs(), basis) - want)) < 1e-12
         sl = basis.block_slices
         for y in basis.base_vertices:
             for x in basis.base_vertices:
-                got = paired_string_operator(u1, u2, basis, col_vertex=x, row_vertex=y)
+                got = paired_string_operator(lad.pairs(), basis, col_vertex=x, row_vertex=y)
                 assert np.max(np.abs(got - want[sl[y], sl[x]])) < 1e-12
+        # two different stacks: the bonds of two anchors with equal endpoints
+        anchors = [e for e, _, _ in wt.left.edges]
+        for z1, x, y in wt.left.edges:
+            for z2 in wt.left.edges_between(x, y):
+                got = paired_string_operator(lad.pinned_pairs(z1, z2), basis,
+                                             col_vertex=x, row_vertex=y)
+                ref = per_term_paired_operator(dense[anchors.index(z1)], dense[anchors.index(z2)],
+                                               basis, col_vertex=x, row_vertex=y)
+                assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_per_term_loop_restricts_to_vertex_blocks(self, systems):
         u1, u2, basis = constraint_stacks(systems("dynkin:D4").wn, 2)
@@ -95,7 +159,8 @@ class TestTotalDefect:
         wn = systems(name).wn
         wt = _constraint_blocks(wn)
         basis = StringBasis(wn.top, k)
-        total, scale = _total_defect_sq(LadderEngine(wt).half_ladder(basis.pathset, k), wt, basis)
+        lad = LadderEngine(wt).half_ladder(basis.pathset, k)
+        total, scale = lad.pinned_defect(grid_counts(basis.graph, k))
         assert total == 0.0
         assert scale > 0.0
 
@@ -108,6 +173,15 @@ class TestTotalDefect:
         wn = systems(name).wn
         wt = _constraint_blocks(wn)
         basis = StringBasis(wn.top, k)
-        total, scale = _total_defect_sq(LadderEngine(wt).half_ladder(basis.pathset, k), wt, basis)
+        lad = LadderEngine(wt).half_ladder(basis.pathset, k)
+        total, scale = lad.pinned_defect(grid_counts(basis.graph, k))
         assert total >= scale * (1 - 1e-12)
         assert total > 1e-20 * max(1.0, scale)
+
+    @pytest.mark.parametrize("name,k", CASES)
+    def test_matches_dense_formula(self, systems, name, k):
+        wt, lad, dense, basis = constraint_ladders(systems(name).wn, k)
+        total, scale = lad.pinned_defect(grid_counts(basis.graph, k))
+        want_total, want_scale = dense_total_defect_sq(dense, wt, basis)
+        assert abs(scale - want_scale) <= 1e-12 * max(1.0, want_scale)
+        assert abs(total - want_total) <= 1e-12 * max(1.0, want_scale)

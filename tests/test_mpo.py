@@ -19,6 +19,7 @@ from biunitary import (
 )
 
 from conftest import ALL_BUILDERS
+from dense_ladder import dense_half_ladder
 
 
 class TestSummandOperators:
@@ -103,17 +104,24 @@ class TestProjectorTrace:
         s = systems(name)
         for k in (1, 2, 3):
             sb, _ = bases_for(name, k)
-            ends = sb.pathset.ends[k]
+            paths = sb.pathset.paths[k]
             for a in s.fd.labels:
-                eng = LadderEngine(s.reps[a])
-                lad = eng.half_ladder(sb.pathset, k)
-                diag = np.einsum("abpp->abp", lad)
-                got = eng.diagonal_sweep(k)
-                want = np.zeros_like(got)
-                index = {v: i for i, (v, _) in enumerate(s.reps[a].top.vertices)}
-                for p, v in enumerate(ends):
-                    want[:, :, index[v]] += diag[:, :, p]
-                assert np.max(np.abs(got - want)) < 1e-12
+                rep = s.reps[a]
+                grids = [(rep.top.source(p[0]), v) for p, v in zip(paths, sb.pathset.ends[k])]
+                diag = np.einsum("abpp->abp", dense_half_ladder(rep, sb.pathset, k))
+                sweep = LadderEngine(rep).diagonal_sweep(k)
+                lefts = [e for e, _, _ in rep.left.edges]
+                bonds = rep.right if k % 2 == 1 else rep.left
+                bond_ids = [e for e, _, _ in bonds.edges]
+                for x, v in set(grids) | set(sweep):
+                    # rows: the loop anchors x -> x; columns: the bonds v -> v
+                    want = diag[:, :, np.array([g == (x, v) for g in grids])].sum(axis=2)
+                    rows = [lefts.index(e) for e in rep.left.edges_between(x, x)]
+                    cols = [bond_ids.index(e) for e in bonds.edges_between(v, v)]
+                    got = np.zeros_like(want)
+                    if (x, v) in sweep:
+                        got[np.ix_(rows, cols)] = sweep[(x, v)]
+                    assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestOperatorRank:

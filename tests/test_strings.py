@@ -15,7 +15,8 @@ from biunitary import (
 )
 from biunitary import ConnectionError, StringBasis, renormalize, vertical_product
 from biunitary.graphs import alternating
-from biunitary.strings import _st2_gram, _total_defect_sq, _vertical_tree
+from biunitary.ladders import grid_counts
+from biunitary.strings import _st2_gram, _vertical_tree
 
 from conftest import ALL_BUILDERS
 
@@ -38,7 +39,7 @@ def dense_flat_fields(w_conn, k):
     basis = StringBasis(w_conn.top, k)
     eng = LadderEngine(wt)
     lad = eng.half_ladder(basis.pathset, k)
-    total, scale = _total_defect_sq(lad, wt, basis)
+    total, scale = lad.pinned_defect(grid_counts(w_conn.top, k))
     if total <= 1e-20 * max(1.0, scale):
         return basis.dim, None
     n = basis.dim
