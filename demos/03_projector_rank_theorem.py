@@ -19,10 +19,8 @@ from biunitary import (
     flat_fields,
     mpo_O,
     operator_rank,
-    phi_map,
     pmpo_P,
     projector_trace,
-    shift2,
 )
 
 conn = build_dynkin("A4")
@@ -43,9 +41,7 @@ for a in fd.labels:
 
 p = pmpo_P(fd, reps, 2, lb)
 print(f"   projector idempotency residual: {p.idempotency_defect():.2e}")
-sh = shift2(lb)
-print(f"   rotation commutator: {np.max(np.abs(sh.matrix @ p.matrix - p.matrix @ sh.matrix)):.2e}")
-print(f"   folding map is invertible: rank {operator_rank(phi_map(lb).matrix(), 1e-10)} "
+print(f"   folding map is invertible: rank {operator_rank(np.diag(lb.fold_factor), 1e-10)} "
       f"of {lb.dim}")
 
 print("\n== rank of the projector (dense, and as the trace of P^k) vs flat-field dimension")

@@ -68,22 +68,16 @@ from .graphs import (
 from .ladders import Ladder, LadderEngine, PathSet
 from .mpo import (
     MPOOperator,
-    PhiMap,
-    four_tensor,
     mpo_O,
     mpo_O_tilde,
     operator_rank,
-    phi_map,
     pmpo_P,
     pmpo_P_tilde,
     projector_trace,
-    ring_contract,
-    shift2,
 )
 from .strings import (
     FlatFieldResult,
     TraceData,
-    TransportMap,
     flat_fields,
     jones_projection,
     jones_span_dimension,

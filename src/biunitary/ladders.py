@@ -80,7 +80,7 @@ class Ladder:
 
     def __init__(self, blocks: dict, anchors):
         self.blocks = blocks
-        self._anchors = anchors     # the left vertical graph
+        self.anchors = anchors      # the left vertical graph
 
     @property
     def nbytes(self) -> int:
@@ -96,8 +96,8 @@ class Ladder:
     def pinned_pairs(self, zeta1: str, zeta2: str):
         """``(key, s1, s2)`` with the bonds of anchor zeta1 and of anchor
         zeta2 (same endpoints): the terms of the pinned transport."""
-        x, y = self._anchors.source(zeta1), self._anchors.range(zeta1)
-        i1, i2 = (self._anchors.edges_between(x, y).index(z) for z in (zeta1, zeta2))
+        x, y = self.anchors.source(zeta1), self.anchors.range(zeta1)
+        i1, i2 = (self.anchors.edges_between(x, y).index(z) for z in (zeta1, zeta2))
         for key, blk in self.blocks.items():
             if key[0][0] == x and key[1][0] == y:
                 yield key, blk[i1], blk[i2]
@@ -118,7 +118,7 @@ class Ladder:
                 tr = np.einsum("abpp->ab", blk)
                 trace += float(np.vdot(tr, tr).real)
         # against the identity on the paths from the anchor's range y
-        n_y = [sum(n for (x, _), n in counts.items() if x == y) for _, _, y in self._anchors.edges]
+        n_y = [sum(n for (x, _), n in counts.items() if x == y) for _, _, y in self.anchors.edges]
         return scale + (float(sum(n * n for n in n_y)) - 2.0 * trace), scale
 
 
@@ -133,8 +133,10 @@ class LadderEngine:
         self._rev = g.reverse()
         # column blocks (bonds out, bonds in) per (top, bottom) edge: the cell
         # block, and on even columns the reflected cell, entered on a right
-        # edge and left on a left edge, conjugated, times its weight ratio
-        self._odd = {(t, b): conn.cell_matrix(t, b) for t, _, _ in g.edges for b, _, _ in g.edges}
+        # edge and left on a left edge, conjugated, times its weight ratio;
+        # an all-zero block (or one without bonds) moves nothing and is left out
+        self._odd = {(t, b): m for t, _, _ in g.edges for b, _, _ in g.edges
+                     if (m := conn.cell_matrix(t, b)).any()}
         self._even = {(t, b): math.sqrt((mu[g.source(t)] * mu[g.range(b)])
                                         / (mu[g.range(t)] * mu[g.source(b)])) * m.conj().T
                       for (t, b), m in self._odd.items()}
@@ -163,9 +165,8 @@ class LadderEngine:
                 flat = blk.reshape(na, nb, np_ * nq)
                 for t in trav.edges_from(u):
                     for b in trav.edges_from(v):
-                        m = cols[(t, b)]
-                        if not len(m):
-                            continue        # no bond between the new ends
+                        if (m := cols.get((t, b))) is None:
+                            continue
                         key = ((x, trav.range(t)), (y, trav.range(b)))
                         if key not in new:
                             new[key] = np.zeros((na, len(m), counts[key[0]], counts[key[1]]),
@@ -192,7 +193,9 @@ class LadderEngine:
             new: dict[tuple[str, str], np.ndarray] = {}
             for (x, u), s in state.items():
                 for t in trav.edges_from(u):
-                    key, contrib = (x, trav.range(t)), s @ cols[(t, t)].T
+                    if (m := cols.get((t, t))) is None:
+                        continue
+                    key, contrib = (x, trav.range(t)), s @ m.T
                     new[key] = new[key] + contrib if key in new else contrib
             state = new
         return state

@@ -28,7 +28,6 @@ DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") //
 
 __all__ = [
     "TraceData",
-    "TransportMap",
     "transport_T",
     "FlatFieldResult",
     "flat_fields",
@@ -89,39 +88,21 @@ class TraceData:
 # -- transports ---------------------------------------------------------------
 
 
-@dataclass
-class TransportMap:
-    """A boundary-pinned ladder transport from strings at x to strings at y."""
-
-    x: str
-    y: str
-    zeta1: str
-    zeta2: str
-    matrix: np.ndarray  # (dim Str_y, dim Str_x)
-
-    def apply(self, field: Field) -> np.ndarray:
-        return self.matrix @ field.block(self.x)
-
-
-def transport_T(a_conn: Connection, k: int, zeta1: str, zeta2: str,
-                basis: StringBasis, engine: LadderEngine | None = None,
-                ladder: Ladder | None = None) -> TransportMap:
+def transport_T(ladder: Ladder, zeta1: str, zeta2: str, basis: StringBasis) -> np.ndarray:
     """The two-boundary ladder operator with bonds zeta1 and zeta2 pinned.
 
-    Both bonds must be vertical edges with the same endpoints x -> y; the
-    returning half of the ladder is the mirrored, conjugated copy pinned on
-    zeta2, and the far bond is summed.  Summing the diagonal over the bonds
-    of one endpoint pair recovers the string-side summand operator block.
+    Both bonds must be anchors of the half ladder with the same endpoints
+    x -> y; the returning half of the ladder is the mirrored, conjugated copy
+    pinned on zeta2, and the far bond is summed.  Returns the
+    (dim B_k(y), dim B_k(x)) matrix from strings at x to strings at y.
+    Summing the diagonal over the bonds of one endpoint pair recovers the
+    string-side summand operator block.
     """
-    eng = engine if engine is not None else LadderEngine(a_conn)
-    lad = ladder if ladder is not None else eng.half_ladder(basis.pathset, k)
-    left = a_conn.left
+    left = ladder.anchors
     if left.source(zeta1) != left.source(zeta2) or left.range(zeta1) != left.range(zeta2):
         raise ConnectionError("boundary edges must share both endpoints")
-    x, y = left.source(zeta1), left.range(zeta1)
-    mat = paired_string_operator(lad.pinned_pairs(zeta1, zeta2), basis,
-                                 col_vertex=x, row_vertex=y)
-    return TransportMap(x=x, y=y, zeta1=zeta1, zeta2=zeta2, matrix=mat)
+    return paired_string_operator(ladder.pinned_pairs(zeta1, zeta2), basis,
+                                  col_vertex=left.source(zeta1), row_vertex=left.range(zeta1))
 
 
 # -- flat fields --------------------------------------------------------------
@@ -176,18 +157,6 @@ def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
     return tree
 
 
-def check_flat_ladder(w_conn: Connection, k: int) -> tuple[LadderEngine, dict, str]:
-    """Check the half-ladder sweep of ``flat_fields(w_conn, k)`` against the
-    budget, listing no path; return its engine, grid sizes and the name."""
-    eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
-    counts = grid_counts(g, k)
-    what = f"flat solve at k={k} on {sum(counts.values())} paths"
-    # the sweep holds two consecutive states, and the last two are the largest
-    need = 16 * (eng.block_entries(grid_counts(g, k - 1), k - 1) + eng.block_entries(counts, k))
-    check_budget(need, what, "its half ladder")
-    return eng, counts, what
-
-
 def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFieldResult:
     """Solve the flatness system of the squared connection on fields of strings.
 
@@ -213,9 +182,13 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     formed.  ValueError is raised before the half ladder, the transports or
     the shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
     """
-    eng, counts, what = check_flat_ladder(w_conn, k)
-    wt = eng.conn
-    pathset = PathSet(w_conn.top, k)
+    eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
+    counts = grid_counts(g, k)
+    what = f"flat solve at k={k} on {sum(counts.values())} paths"
+    # the sweep holds two consecutive states, and the last two are the largest
+    need = 16 * (eng.block_entries(grid_counts(g, k - 1), k - 1) + eng.block_entries(counts, k))
+    check_budget(need, what, "its half ladder")
+    pathset = PathSet(g, k)
     lad = eng.half_ladder(pathset, k)
     total, scale = lad.pinned_defect(counts)
     if total <= 1e-20 * max(1.0, scale):
@@ -228,7 +201,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
                                system_scale=math.sqrt(scale), exact=True)
 
     by_pair: dict[tuple[str, str], list[str]] = {}
-    for e, s, r in wt.left.edges:
+    for e, s, r in lad.anchors.edges:
         by_pair.setdefault((s, r), []).append(e)
     dims: dict[str, int] = {}       # dim B_k(x) per base vertex
     for (x, _), c in counts.items():
@@ -242,7 +215,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     reach = {root: np.eye(n0, dtype=complex)}
     tree = _vertical_tree(by_pair, root, basis.base_vertices)
     for x, y, zeta in tree:
-        t = transport_T(wt, k, zeta, zeta, basis, engine=eng, ladder=lad).matrix
+        t = transport_T(lad, zeta, zeta, basis)
         reach[y] = t @ reach[x]
     tree_edges = {zeta for _, _, zeta in tree}
     gram = np.zeros((n0, n0), dtype=complex)
@@ -251,7 +224,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
             for z2 in edges:
                 if z1 == z2 and z1 in tree_edges:
                     continue  # T R_x - R_y is exactly zero: R_y was set to T R_x
-                c = transport_T(wt, k, z1, z2, basis, engine=eng, ladder=lad).matrix @ reach[x]
+                c = transport_T(lad, z1, z2, basis) @ reach[x]
                 if z1 == z2:
                     c -= reach[y]
                 gram += c.conj().T @ c

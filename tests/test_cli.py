@@ -293,3 +293,39 @@ def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: flat solve at k=5 on 243 paths needs 52.0 GiB for its basis")
+
+
+def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
+    # D5 at k=8 needs 4.4 GiB of transports: its solve runs before any other
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 4 << 30)
+    solved = []
+    solve = biunitary.cli.flat_fields
+
+    def counted(conn, k, **kwargs):
+        solved.append(k)
+        return solve(conn, k, **kwargs)
+
+    monkeypatch.setattr(biunitary.cli, "flat_fields", counted)
+    code, out, err = run(capsys, "verify-theorem", "--builtin", "dynkin D5", "-k", "8")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 4.4 GiB")
+    assert solved == [8]
+
+
+@pytest.mark.parametrize("command,flag", [("relcomm", "--basis"), ("pmpo", "--dump")])
+def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, command, flag):
+    # trivial 3 at k=2: an 81 x 81 matrix is 0.2 MiB as two complex arrays,
+    # about 1.1 MiB once formatted into a JSON report
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 1 << 20)
+    argv = (command, "--builtin", "trivial 3", "-k", "2", flag, "--format")
+    code, out, err = run(capsys, *argv, "json")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "for its formatted JSON entries" in err
+    code, out, _ = run(capsys, *argv, "table")
+    assert code == 0
+    assert "81" in out

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import biunitary.nullspace
 from biunitary import (
+    DecompositionError,
     DepthExceededError,
     build_dynkin,
     build_identity,
@@ -58,6 +60,13 @@ class TestHomSpace:
             s = systems(name)
             basis = hom_space(wtilde(s.wn), wtilde(s.wn))
             assert adjoint_closure_defect(basis) < 1e-10
+
+    def test_kernel_vectors_are_checked_against_the_equations(self, monkeypatch):
+        # a Gram cut above every singular value declares non-solutions null
+        monkeypatch.setattr(biunitary.nullspace, "GRAM_EPS", 10.0)
+        wt = wtilde(build_dynkin("A3"))
+        with pytest.raises(DecompositionError, match="^kernel vector violates intertwining "):
+            hom_space(wt, wt)
 
 
 class TestSplitting:

@@ -7,19 +7,16 @@ from biunitary import (
     LadderEngine,
     LoopBasis,
     StringBasis,
-    four_tensor,
     mpo_O,
     mpo_O_tilde,
     operator_rank,
-    phi_map,
     pmpo_P,
     projector_trace,
-    ring_contract,
-    shift2,
 )
 
 from conftest import ALL_BUILDERS
 from dense_ladder import dense_half_ladder
+from loop_oracles import four_tensor, ring_contract, shift2
 
 
 class TestSummandOperators:
@@ -148,12 +145,12 @@ class TestOperatorRank:
 class TestShift:
     def test_k1_is_identity(self, bases_for):
         _, lb = bases_for("dynkin:A3", 1)
-        assert np.array_equal(shift2(lb).matrix, np.eye(lb.dim))
+        assert np.array_equal(shift2(lb), np.eye(lb.dim))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_order_divides_k(self, bases_for, k):
         _, lb = bases_for("dynkin:A4", k)
-        m = shift2(lb).matrix
+        m = shift2(lb)
         power = np.linalg.matrix_power(m, k)
         assert np.array_equal(power, np.eye(lb.dim))
 
@@ -162,7 +159,7 @@ class TestShift:
         _, lb = bases_for("dynkin:A3", 3)
         p = pmpo_P(s.fd, s.reps, 3, lb)
         sh = shift2(lb)
-        assert np.max(np.abs(sh.matrix @ p.matrix - p.matrix @ sh.matrix)) < 1e-12
+        assert np.max(np.abs(sh @ p.matrix - p.matrix @ sh)) < 1e-12
 
 
 class TestPhi:
@@ -179,16 +176,14 @@ class TestPhi:
 
     def test_full_rank(self, bases_for):
         _, lb = bases_for("dynkin:A4", 2)
-        phi = phi_map(lb)
-        assert operator_rank(phi.matrix(), 1e-10) == lb.dim
+        assert operator_rank(np.diag(lb.fold_factor), 1e-10) == lb.dim
 
     @pytest.mark.parametrize("name", ["dynkin:A3", "dynkin:A4", "cyclic:2"])
     def test_intertwines_loop_and_string_operators(self, systems, bases_for, name):
         s = systems(name)
         for k in (1, 2):
             sb, lb = bases_for(name, k)
-            phi = phi_map(lb)
-            pm = phi.matrix()
+            pm = np.diag(lb.fold_factor)
             for a in s.fd.labels:
                 o = mpo_O(s.reps[a], k, lb).matrix
                 ot = mpo_O_tilde(s.reps[a], k, sb).matrix

@@ -37,8 +37,7 @@ def dense_flat_fields(w_conn, k):
     """
     wt = vertical_product(w_conn, renormalize(w_conn, "bar"))
     basis = StringBasis(w_conn.top, k)
-    eng = LadderEngine(wt)
-    lad = eng.half_ladder(basis.pathset, k)
+    lad = LadderEngine(wt).half_ladder(basis.pathset, k)
     total, scale = lad.pinned_defect(grid_counts(w_conn.top, k))
     if total <= 1e-20 * max(1.0, scale):
         return basis.dim, None
@@ -49,7 +48,7 @@ def dense_flat_fields(w_conn, k):
         eye = np.eye(sy.stop - sy.start)
         for z1 in edges:
             for z2 in edges:
-                t = transport_T(wt, k, z1, z2, basis, engine=eng, ladder=lad).matrix
+                t = transport_T(lad, z1, z2, basis)
                 gram[sx, sx] += t.conj().T @ t
                 if z1 == z2:
                     gram[sx, sy] += -t.conj().T
@@ -134,10 +133,11 @@ class TestTransports:
         rep = s.reps[s.fd.identity]
         for k in (1, 2):
             sb, _ = bases_for("dynkin:A4", k)
+            lad = LadderEngine(rep).half_ladder(sb.pathset, k)
             for (x, y), edges in edges_by_pair(rep).items():
                 for z in edges:
-                    t = transport_T(rep, k, z, z, sb)
-                    assert np.max(np.abs(t.matrix - np.eye(t.matrix.shape[0]))) < 1e-12
+                    t = transport_T(lad, z, z, sb)
+                    assert np.max(np.abs(t - np.eye(t.shape[0]))) < 1e-12
 
     def test_mismatched_boundary_edges_rejected(self, systems, bases_for):
         s = systems("dynkin:A3")
@@ -145,8 +145,9 @@ class TestTransports:
         sb, _ = bases_for("dynkin:A3", 1)
         pairs = edges_by_pair(rep)
         (z1,), (z2,) = (pairs[p] for p in sorted(pairs)[:2])
-        with pytest.raises(Exception):
-            transport_T(rep, 1, z1, z2, sb)
+        lad = LadderEngine(rep).half_ladder(sb.pathset, 1)
+        with pytest.raises(ConnectionError, match="^boundary edges must share both endpoints$"):
+            transport_T(lad, z1, z2, sb)
 
     @pytest.mark.parametrize("name", ["trivial:2", "dynkin:A3", "dynkin:A4", "cyclic:3"])
     def test_diagonal_transport_sum_recovers_operator(self, systems, bases_for, name):
@@ -155,15 +156,13 @@ class TestTransports:
             sb, _ = bases_for(name, k)
             for a in s.fd.labels:
                 rep = s.reps[a]
-                eng = LadderEngine(rep)
-                lad = eng.half_ladder(sb.pathset, k)
-                ot = mpo_O_tilde(rep, k, sb, engine=eng, ladder=lad).matrix
+                lad = LadderEngine(rep).half_ladder(sb.pathset, k)
+                ot = mpo_O_tilde(rep, k, sb).matrix
                 acc = np.zeros_like(ot)
                 for (x, y), edges in edges_by_pair(rep).items():
                     sx, sy = sb.block_slices[x], sb.block_slices[y]
                     for z in edges:
-                        tm = transport_T(rep, k, z, z, sb, engine=eng, ladder=lad)
-                        acc[sy, sx] += tm.matrix
+                        acc[sy, sx] += transport_T(lad, z, z, sb)
                 assert np.max(np.abs(acc - ot)) < 1e-12
 
 
@@ -201,12 +200,12 @@ class TestFlatFields:
         for k in (1, 2):
             res = flat_fields(s.wn, k, return_basis=True)
             sb = res.basis
+            lad = LadderEngine(wt2).half_ladder(sb.pathset, k)
             for f in res.fields():
                 for (x, y), edges in edges_by_pair(wt2).items():
                     for z1 in edges:
                         for z2 in edges:
-                            tm = transport_T(wt2, k, z1, z2, sb)
-                            got = tm.matrix @ f.vec[sb.block_slices[x]]
+                            got = transport_T(lad, z1, z2, sb) @ f.block(x)
                             want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -279,17 +278,15 @@ class TestProofRelations:
                 # pinned transports act as deltas
                 for a in s.fd.labels:
                     rep = s.reps[a]
-                    eng = LadderEngine(rep)
-                    lad = eng.half_ladder(sb.pathset, k)
+                    lad = LadderEngine(rep).half_ladder(sb.pathset, k)
                     for (x, y), edges in edges_by_pair(rep).items():
                         for z1 in edges:
                             for z2 in edges:
-                                tm = transport_T(rep, k, z1, z2, sb, engine=eng, ladder=lad)
-                                got = tm.apply(f)
+                                got = transport_T(lad, z1, z2, sb) @ f.block(x)
                                 want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                                 assert np.max(np.abs(got - want)) < 1e-9
                     # the string operator acts by vertical multiplicities
-                    ot = mpo_O_tilde(rep, k, sb, engine=eng, ladder=lad).matrix
+                    ot = mpo_O_tilde(rep, k, sb).matrix
                     for i_x, x in enumerate(v0):
                         probe = np.zeros(sb.dim, dtype=complex)
                         sx = sb.block_slices[x]
