@@ -250,12 +250,12 @@ def cmd_pmpo(args) -> int:
 
 def cmd_relcomm(args) -> int:
     conn, h = _load(args)
-    ff = flat_fields(conn, args.k, return_basis=args.basis)
+    ff = flat_fields(conn, args.k, return_basis=args.basis and args.format == "json")
     report = _provenance(args, h) | {
         "command": "relcomm", "k": args.k, "dim": ff.basis.dim,
         "flat_dimension": ff.dimension,
     }
-    if args.basis and args.format == "json" and ff.vectors is not None:
+    if ff.vectors is not None:
         check_budget(FORMATTED_ENTRY_BYTES * ff.vectors.size,
                      f"flat basis at k={args.k} on dim B_k = {ff.basis.dim}",
                      "its formatted JSON entries")

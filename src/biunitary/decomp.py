@@ -25,7 +25,15 @@ from .connection import (
     vertical_product,
 )
 from .graphs import LayeredGraph, count_paths, alternating
-from .nullspace import RANK_EPS, gram_null_space
+from .nullspace import (
+    ADJOINT_CLOSURE_EPS,
+    CLUSTER_GAP_EPS,
+    HOM_RESIDUAL_EPS,
+    IDEMPOTENCY_EPS,
+    RANK_EPS,
+    SPAN_EPS,
+    gram_null_space,
+)
 
 __all__ = [
     "DecompositionError",
@@ -151,6 +159,13 @@ class _HomProblem:
         return worst
 
 
+def _gram_block(gram: np.ndarray, prob: _HomProblem, k1: tuple, k2: tuple) -> np.ndarray:
+    """The (k1, k2) block of the hom Gram as a writable ``(d1, s1, d2, s2)`` view."""
+    (d1, s1), (d2, s2) = prob.shapes[k1], prob.shapes[k2]
+    o1, o2 = prob.offsets[k1], prob.offsets[k2]
+    return gram[o1:o1 + d1 * s1, o2:o2 + d2 * s2].reshape(d1, s1, d2, s2)
+
+
 def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
     """Orthonormal basis of intertwiner families from `src` to `dst`.
 
@@ -166,33 +181,38 @@ def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
     n = prob.n_var
     if n == 0:
         return []
+    # Per constraint pair the system rows are (A (x) I) vec T_L - (I (x) B^T) vec T_R.
+    # The squares A^H A (x) I and I (x) conj(B) B^T are summed per slot key and
+    # placed once; the cross terms -A^H (x) B^T are added per pair.
+    squares: dict[tuple, np.ndarray] = {}
     gram = np.zeros((n, n), dtype=complex)
     for kl, kr, a_mat, b_mat in prob.constraint_pairs():
         has_l = kl in prob.offsets and a_mat.size
         has_r = kr in prob.offsets and b_mat.size
         if has_l:
-            ol = prob.offsets[kl]
-            dl, sl = prob.shapes[kl]
-            blk = np.kron(a_mat.conj().T @ a_mat, np.eye(sl))
-            gram[ol:ol + dl * sl, ol:ol + dl * sl] += blk
+            squares[kl] = squares.get(kl, 0) + a_mat.conj().T @ a_mat
         if has_r:
-            orr = prob.offsets[kr]
-            dr, sr = prob.shapes[kr]
-            blk = np.kron(np.eye(dr), b_mat.conj() @ b_mat.T)
-            gram[orr:orr + dr * sr, orr:orr + dr * sr] += blk
+            squares[kr] = squares.get(kr, 0) + b_mat.conj() @ b_mat.T
         if has_l and has_r:
-            ol, orr = prob.offsets[kl], prob.offsets[kr]
-            dl, sl = prob.shapes[kl]
-            dr, sr = prob.shapes[kr]
-            cross = -np.kron(a_mat.conj().T, b_mat.T)
-            gram[ol:ol + dl * sl, orr:orr + dr * sr] += cross
-            gram[orr:orr + dr * sr, ol:ol + dl * sl] += cross.conj().T
+            cross = _gram_block(gram, prob, kl, kr)
+            cross -= a_mat.conj().T[:, None, :, None] * b_mat.T[None, :, None, :]
+    for key, sq in squares.items():
+        blk = _gram_block(gram, prob, key, key)
+        if key[0] == "L":  # A^H A (x) I
+            idx = np.arange(prob.shapes[key][1])
+            blk[:, idx, :, idx] = sq
+        else:              # I (x) conj(B) B^T
+            idx = np.arange(prob.shapes[key][0])
+            blk[idx, :, idx, :] = sq
+    # every L offset precedes every R offset: the lower cross region mirrors the upper
+    n_left = min((prob.offsets[k] for k in prob.keys if k[0] == "R"), default=n)
+    gram[n_left:, :n_left] = gram[:n_left, n_left:].conj().T
     null_mask, evecs, smax = gram_null_space(gram, True, DecompositionError,
                                              "no clean spectral gap in hom system")
     fams = [prob.unflatten(evecs[:, i]) for i in np.nonzero(null_mask)[0]]
     for f in fams:
         r = prob.residual(f)
-        if r > 1e-8 * max(1.0, smax):
+        if r > HOM_RESIDUAL_EPS * max(1.0, smax):
             raise DecompositionError(f"kernel vector violates intertwining ({r:.3e})")
     return fams
 
@@ -240,7 +260,7 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFam
     if not basis:
         raise DecompositionError("endomorphism algebra is empty")
     defect = adjoint_closure_defect(basis)
-    if defect > 1e-6:
+    if defect > ADJOINT_CLOSURE_EPS:
         raise DecompositionError(f"End(c) not closed under the adjoint (defect {defect:.3e})")
     prob = _HomProblem(c, c)
 
@@ -257,7 +277,7 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFam
                 items.append((float(lam), k, evecs[:, i]))
         items.sort(key=lambda it: it[0])
         spread = items[-1][0] - items[0][0] if len(items) > 1 else 1.0
-        gap = max(1e-7, 1e-7 * spread)
+        gap = CLUSTER_GAP_EPS * max(1.0, spread)
         clusters: list[list] = [[items[0]]]
         for it in items[1:]:
             if it[0] - clusters[-1][-1][0] <= gap:
@@ -273,12 +293,12 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFam
             for _, k, v in cl:
                 blocks[k] += np.outer(v, v.conj())
             p = IntertwinerFamily(blocks)
-            if _project_onto_span(basis, _normalized(p)) > 1e-7:
+            if _project_onto_span(basis, _normalized(p)) > SPAN_EPS:
                 ok = False
                 break
             idem = max(float(np.max(np.abs(b @ b - b))) if b.size else 0.0
                        for b in p.blocks.values())
-            if idem > 1e-9:
+            if idem > IDEMPOTENCY_EPS:
                 ok = False
                 break
             span = np.array([_compress_family(p, t).flatten() for t in basis])
@@ -384,10 +404,11 @@ class FusionData:
     """Label set of irreducible connections with all derived integer tables.
 
     ``d`` maps labels to Perron-Frobenius dimensions, ``w`` is the global
-    index, ``n_table[(a, b, c)]`` counts c inside the product of a and b,
-    ``m_table[a]`` is the vertical multiplicity matrix over the layer-0
-    vertex order ``v0``, ``conj`` is the contragredient involution, and
-    ``l_table[(a, n)]`` counts a inside the n-th power of the generating
+    index, ``n_table[(a, b, c)]`` is the multiplicity of c in
+    ``vertical_product(rep_b, rep_a)``, so that ``sum_c N_ab^c M_c = M_b M_a``,
+    ``m_table[a]`` is the vertical multiplicity matrix ``M_a`` over the
+    layer-0 vertex order ``v0``, ``conj`` is the contragredient involution,
+    and ``l_table[(a, n)]`` counts a inside the n-th power of the generating
     product connection.
     """
 
@@ -456,6 +477,109 @@ def _pf_dimension(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m.astype(float)))))
 
 
+def _int_inverse(a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """``(d, D)`` with ``D = d a^{-1}`` for a nonsingular square integer matrix.
+
+    Fraction-free Gauss-Jordan elimination in Python ints: every division is
+    exact, and ``d`` is the determinant of ``a`` up to sign.
+    """
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pk = rows[k]
+        for i in range(n):
+            if i != k:
+                ri, f = rows[i], rows[i][k]
+                rows[i] = [(pk[k] * x - f * y) // prev for x, y in zip(ri, pk)]
+        prev = pk[k]
+    return prev, [r[n:] for r in rows]
+
+
+class _MultiplicitySolver:
+    """Exact nonnegative integer solutions of ``sum_c N_c M_c = target``.
+
+    The left multiplicity matrices ``M_c`` of the labels, flattened, are
+    reduced once by fraction-free elimination in Python ints.  A label whose
+    vector is independent of the earlier labels' is a pivot; the others are
+    ``free``, and their multiplicities must be supplied (by a hom count).
+    The pivot multiplicities then follow by Cramer's rule on a nonsingular
+    square block of rows, and every solution is certified against the full
+    identity in int64.
+    """
+
+    def __init__(self, ms: list[np.ndarray]):
+        self.stack = np.array(ms, dtype=np.int64)
+        self.cols = self.stack.reshape(len(ms), -1).tolist()
+        echelon: list[tuple[int, list[int]]] = []  # (pivot row, reduced vector)
+        self.pivots: list[int] = []
+        self.free: list[int] = []
+        for j, col in enumerate(self.cols):
+            v = col
+            for p, e in echelon:
+                if v[p]:
+                    v = [e[p] * x - v[p] * y for x, y in zip(v, e)]
+            row = next((i for i, x in enumerate(v) if x), None)
+            if row is None:
+                self.free.append(j)
+            else:
+                g = math.gcd(*v)
+                echelon.append((row, [x // g for x in v]))
+                self.pivots.append(j)
+        self.rows = [p for p, _ in echelon]
+        self.det, self.inv = _int_inverse([[self.cols[j][i] for j in self.pivots]
+                                           for i in self.rows])
+
+    def solve(self, target: np.ndarray, free_counts: dict[int, int], what: str) -> list[int]:
+        """The multiplicities given those of the free labels; raises
+        :class:`DecompositionError` unless they are nonnegative integers
+        satisfying the identity exactly."""
+        n = [0] * len(self.cols)
+        t = target.reshape(-1).tolist()
+        for c, count in free_counts.items():
+            n[c] = count
+            t = [x - count * y for x, y in zip(t, self.cols[c])]
+        tr = [t[i] for i in self.rows]
+        exact = True
+        for c, inv_row in zip(self.pivots, self.inv):
+            n[c], rem = divmod(sum(x * y for x, y in zip(inv_row, tr)), self.det)
+            exact = exact and rem == 0
+        total = np.tensordot(np.array(n, dtype=np.int64), self.stack, axes=1)
+        if not exact or min(n) < 0 or not np.array_equal(total, target):
+            raise DecompositionError(
+                f"multiplicities in {what} are not a nonnegative integer solution "
+                "of the multiplicity-matrix identity")
+        return n
+
+
+def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection],
+                   wt: Connection, v0: tuple[str, ...]):
+    """``(n_table, l_table)`` by the exact multiplicity-matrix identities.
+
+    ``vertical_product(top, bottom)`` composes left edges top then bottom, so
+    ``vertical_product(rep_b, rep_a)`` has left multiplicity matrix
+    ``M_b @ M_a`` and ``sum_c N_ab^c M_c = M_b M_a``; likewise
+    ``sum_a L_a^1 M_a`` is the matrix of the generating product ``wt``.
+    Products are formed and hom spaces solved only for the free labels.
+    """
+    solver = _MultiplicitySolver([e.m for e in classes])
+    n_table: dict[tuple[str, str, str], int] = {}
+    for ea in classes:
+        for eb in classes:
+            free = {}
+            if solver.free:
+                prod = vertical_product(reps[eb.label], reps[ea.label])
+                free = {c: len(hom_space(reps[classes[c].label], prod)) for c in solver.free}
+            row = solver.solve(eb.m @ ea.m, free, f"{eb.label}*{ea.label}")
+            for ec, nc in zip(classes, row):
+                n_table[(ea.label, eb.label, ec.label)] = nc
+    free = {c: len(hom_space(reps[classes[c].label], wt)) for c in solver.free}
+    row = solver.solve(_left_multiplicity_matrix(wt, v0), free, "the generating product")
+    return n_table, {(e.label, 1): nc for e, nc in zip(classes, row)}
+
+
 def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0,
                           tol: float = RANK_EPS):
     """Close the set of irreducible connections under multiplication by W W-bar.
@@ -469,7 +593,9 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     and the result is peeled into known classes by multiplicity counting;
     a full splitting runs only when unknown content remains.  Raises
     :class:`DepthExceededError` if new classes keep appearing past
-    ``max_depth`` powers.
+    ``max_depth`` powers.  The fusion table and the first-power
+    multiplicities come from a certified integer solve of the
+    multiplicity-matrix identities (see :func:`_fusion_tables`).
     """
     birep = check_biunitarity(w_conn, max(tol, 1e-8))
     if not birep.passed:
@@ -531,12 +657,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     d = {e.label: e.d for e in classes}
     m_table = {e.label: e.m for e in classes}
 
-    n_table: dict[tuple[str, str, str], int] = {}
-    for ea in classes:
-        for eb in classes:
-            prod = vertical_product(reps[eb.label], reps[ea.label])
-            for ec in classes:
-                n_table[(ea.label, eb.label, ec.label)] = len(hom_space(ec.rep, prod))
+    n_table, l_table = _fusion_tables(classes, reps, wt_norm, v0)
 
     conj = {}
     for ea in classes:
@@ -549,8 +670,6 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
         if partner is None:
             raise DecompositionError(f"no conjugate found for {ea.label}")
         conj[ea.label] = partner
-
-    l_table = {(e.label, 1): len(hom_space(reps[e.label], wt_norm)) for e in classes}
 
     fd = FusionData(labels=labels, identity=identity_label, v0=v0, d=d, w=w_value,
                     n_table=n_table, m_table=m_table, conj=conj, l_table=l_table,

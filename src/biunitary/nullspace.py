@@ -18,6 +18,19 @@ GAP_FACTOR = 50
 # this close to that integer.
 INTEGRALITY_EPS = 1e-9
 
+# Cuts of the endomorphism splitting in ``decomp``.  A hom kernel vector must
+# satisfy the intertwining equations to this, relative to max(1, sigma_max).
+HOM_RESIDUAL_EPS = 1e-8
+# End(c) is adjoint-closed when every basis adjoint is this close to the span.
+ADJOINT_CLOSURE_EPS = 1e-6
+# Eigenvalues of a random self-adjoint endomorphism this close, relative to
+# max(1, spread), fall in one spectral cluster.
+CLUSTER_GAP_EPS = 1e-7
+# A normalized spectral projection must lie this close to the span of End(c).
+SPAN_EPS = 1e-7
+# Largest entry of p @ p - p allowed for a spectral projection.
+IDEMPOTENCY_EPS = 1e-9
+
 
 def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],
                     prefix: str) -> tuple[np.ndarray, np.ndarray | None, float]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import biunitary.decomp
 import biunitary.nullspace
 from biunitary import (
     DecompositionError,
@@ -21,7 +22,14 @@ from biunitary import (
     sector_statistics,
     vertical_product,
 )
-from biunitary.decomp import adjoint_closure_defect, _left_multiplicity_matrix
+from biunitary.decomp import (
+    adjoint_closure_defect,
+    _left_multiplicity_matrix,
+    _MultiplicitySolver,
+)
+
+from conftest import ALL_BUILDERS
+from fusion_oracle import hom_fusion_tables
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -211,6 +219,92 @@ class TestFusionData:
         mu = np.array([fd.mu[x] for x in fd.v0])
         for a in fd.labels:
             assert np.max(np.abs(fd.m_table[a] @ mu - fd.d[a] * mu)) < 1e-8
+
+
+def left_counts(conn):
+    """Left multiplicity matrix over sorted source and range vertices."""
+    g = conn.left
+    return np.array([[len(g.edges_between(x, z)) for z in sorted(g.rng_vertices)]
+                     for x in sorted(g.src_vertices)])
+
+
+class TestIntegerFusion:
+    @pytest.mark.parametrize("name", ALL_BUILDERS + ["dynkin:E7", "dynkin:A11"])
+    def test_tables_match_the_hom_oracle(self, systems, name):
+        s = systems(name)
+        n_table, l_table = hom_fusion_tables(s.fd, s.reps, s.wn)
+        assert list(n_table.items()) == list(s.fd.n_table.items())
+        assert l_table == {(a, 1): s.fd.l_table[(a, 1)] for a in s.fd.labels}
+
+    @pytest.mark.parametrize("name", ["dynkin:A4", "dynkin:A7", "dynkin:D5", "dynkin:E6"])
+    def test_vertical_product_composes_left_edges_top_then_bottom(self, systems, name):
+        w = systems(name).wn
+        wbar = renormalize(w, "bar")
+        m, mbar = left_counts(w), left_counts(wbar)
+        # W W-bar lives on the even vertices and W-bar W on the odd ones
+        w_first, wbar_first = m @ mbar, mbar @ m
+        assert w_first.shape != wbar_first.shape or not np.array_equal(w_first, wbar_first)
+        assert np.array_equal(left_counts(vertical_product(w, wbar)), w_first)
+        assert np.array_equal(left_counts(vertical_product(wbar, w)), wbar_first)
+
+    @pytest.mark.parametrize("name", ["dynkin:D5", "dynkin:E6"])
+    def test_label_products_have_matrix_products(self, systems, name):
+        s = systems(name)
+        for a in s.fd.labels:
+            for b in s.fd.labels:
+                prod = vertical_product(s.reps[b], s.reps[a])
+                assert np.array_equal(_left_multiplicity_matrix(prod, s.fd.v0),
+                                      s.fd.m_table[b] @ s.fd.m_table[a])
+
+    @pytest.mark.parametrize("name,n_free", [("dynkin:A7", 0), ("dynkin:D5", 2),
+                                             ("dynkin:E7", 3)])
+    def test_free_label_counts(self, systems, name, n_free):
+        fd = systems(name).fd
+        assert len(_MultiplicitySolver([fd.m_table[a] for a in fd.labels]).free) == n_free
+
+    @staticmethod
+    def table_hom_solves(monkeypatch, conn):
+        """Discovery on ``conn``, and the hom solves made while filling its tables."""
+        calls = []
+        hom, tables = biunitary.decomp.hom_space, biunitary.decomp._fusion_tables
+
+        def counted(src, dst):
+            calls.append((src, dst))
+            return hom(src, dst)
+
+        def counted_tables(*args):
+            monkeypatch.setattr(biunitary.decomp, "hom_space", counted)
+            try:
+                return tables(*args)
+            finally:
+                monkeypatch.setattr(biunitary.decomp, "hom_space", hom)
+
+        monkeypatch.setattr(biunitary.decomp, "_fusion_tables", counted_tables)
+        fd, _, _ = discover_irreducibles(conn)
+        return fd, len(calls)
+
+    def test_full_rank_discovery_solves_no_hom_for_the_tables(self, monkeypatch):
+        fd, solves = self.table_hom_solves(monkeypatch, build_dynkin("A7"))
+        assert len(fd.labels) == 4
+        assert solves == 0
+
+    def test_rank_deficient_discovery_solves_homs_for_free_labels_only(self, monkeypatch):
+        fd, solves = self.table_hom_solves(monkeypatch, build_dynkin("D5"))
+        # two free labels: one solve each per ordered pair, and one each for L^1
+        assert solves == 2 * len(fd.labels) ** 2 + 2
+
+    def test_a_corrupted_multiplicity_matrix_is_refused(self, monkeypatch):
+        init = _MultiplicitySolver.__init__
+
+        def corrupted(self, ms):
+            ms = [m.copy() for m in ms]
+            ms[0][0, 0] += 1
+            init(self, ms)
+
+        monkeypatch.setattr(_MultiplicitySolver, "__init__", corrupted)
+        with pytest.raises(DecompositionError,
+                           match="^multiplicities in a0\\*a0 are not a nonnegative integer"):
+            discover_irreducibles(build_dynkin("A7"))
 
 
 class TestStatistics:
