@@ -686,20 +686,41 @@ def _derive_mu(graphs: dict[str, LayeredGraph], base: str | None) -> dict[str, f
 
 
 def connection_from_document(doc: dict) -> Connection:
+    """The connection of an interchange document.
+
+    Raises :class:`ConnectionError`, naming the field, when the document is
+    not a JSON object or a field is missing or malformed.
+    """
+    if not isinstance(doc, dict):
+        raise ConnectionError("connection document is not a JSON object")
     if doc.get("format") != "connection-interchange":
         raise ConnectionError("not a connection interchange document")
     if doc.get("version") != FORMAT_VERSION:
         raise ConnectionError(f"unsupported format version {doc.get('version')!r}")
-    layer_of = {rec["id"]: rec["layer"] for rec in doc["layers"]}
-    graphs = {}
-    for role in ("top", "left", "bottom", "right"):
-        spec = doc["graphs"][role]
-        vids = {spec["source_layer"], spec["range_layer"]}
-        verts = [(v, l) for v, l in layer_of.items() if l in vids]
-        graphs[role] = LayeredGraph(spec.get("name", role), verts,
-                                    [(e["id"], e["src"], e["dst"]) for e in spec["edges"]],
-                                    spec["source_layer"], spec["range_layer"])
-    mu = {v: float(s) for v, s in doc.get("mu", {}).items()}
+    where = "layers"
+    try:
+        layer_of = {rec["id"]: rec["layer"] for rec in doc["layers"]}
+        graphs = {}
+        for role in ("top", "left", "bottom", "right"):
+            where = f"graphs.{role}"
+            spec = doc["graphs"][role]
+            vids = {spec["source_layer"], spec["range_layer"]}
+            verts = [(v, l) for v, l in layer_of.items() if l in vids]
+            graphs[role] = LayeredGraph(spec.get("name", role), verts,
+                                        [(e["id"], e["src"], e["dst"]) for e in spec["edges"]],
+                                        spec["source_layer"], spec["range_layer"])
+        where = "mu"
+        mu = {v: float(s) for v, s in doc.get("mu", {}).items()}
+        where = "values"
+        values = {(rec["left"], rec["top"], rec["right"], rec["bottom"]):
+                  complex(float(rec["re"]), float(rec["im"])) for rec in doc["values"]}
+        where = "gamma"
+        gamma = (float(doc["gamma"][0]), float(doc["gamma"][1])) if "gamma" in doc else None
+    except GraphError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
+        raise ConnectionError(f"connection document: missing or invalid field {where!r} "
+                              f"({type(err).__name__}: {err})") from err
     if not mu:
         # weights are optional in the format: recover them from the graphs
         try:
@@ -707,13 +728,6 @@ def connection_from_document(doc: dict) -> Connection:
         except GraphError as err:
             raise ConnectionError(f"document carries no weights and none can be "
                                   f"derived: {err}") from err
-    values = {}
-    for rec in doc["values"]:
-        values[(rec["left"], rec["top"], rec["right"], rec["bottom"])] = \
-            complex(float(rec["re"]), float(rec["im"]))
-    gamma = None
-    if "gamma" in doc:
-        gamma = (float(doc["gamma"][0]), float(doc["gamma"][1]))
     return Connection(graphs["top"], graphs["left"], graphs["bottom"], graphs["right"],
                       mu, values, gamma=gamma, base=doc.get("base"), name=doc.get("name", ""))
 

@@ -27,9 +27,11 @@ from .connection import (
 from .graphs import LayeredGraph, count_paths, alternating
 from .nullspace import (
     ADJOINT_CLOSURE_EPS,
+    BIUNITARITY_FLOOR,
     CLUSTER_GAP_EPS,
     HOM_RESIDUAL_EPS,
     IDEMPOTENCY_EPS,
+    MINIMALITY_RANK_EPS,
     RANK_EPS,
     SPAN_EPS,
     gram_null_space,
@@ -84,12 +86,19 @@ class IntertwinerFamily:
         """
         return IntertwinerFamily({k: b.conj().T for k, b in self.blocks.items()})
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flatten()))
+
+def _stack(fams: list[IntertwinerFamily]) -> np.ndarray:
+    """The ``(len(fams), n_var)`` stack of flattened families."""
+    return np.array([f.flatten() for f in fams])
 
 
 class _HomProblem:
-    """Index bookkeeping for the linear system defining Hom(src, dst)."""
+    """Index bookkeeping for the linear system defining Hom(src, dst).
+
+    A family is held flat, its blocks row-major in ``keys`` order, which is
+    the order of :meth:`IntertwinerFamily.flatten`; a space of families is
+    the ``(m, n_var)`` stack of its flat vectors.
+    """
 
     def __init__(self, src: Connection, dst: Connection):
         if not (src.top.structurally_equal(dst.top) and src.bottom.structurally_equal(dst.bottom)):
@@ -101,35 +110,28 @@ class _HomProblem:
         self.shapes: dict[tuple, tuple[int, int]] = {}
         self.offsets: dict[tuple, int] = {}
         off = 0
-        xs = sorted(set(src.x_vertices))
-        ys = sorted(set(src.y_vertices))
-        for x in xs:
-            for z in xs:
-                m = (len(dst.left.edges_between(x, z)), len(src.left.edges_between(x, z)))
-                if m[0] and m[1]:
-                    key = ("L", x, z)
-                    self.keys.append(key)
-                    self.shapes[key] = m
-                    self.offsets[key] = off
-                    off += m[0] * m[1]
-        for y in ys:
-            for w in ys:
-                m = (len(dst.right.edges_between(y, w)), len(src.right.edges_between(y, w)))
-                if m[0] and m[1]:
-                    key = ("R", y, w)
-                    self.keys.append(key)
-                    self.shapes[key] = m
-                    self.offsets[key] = off
-                    off += m[0] * m[1]
+        for side, verts, graph in (("L", src.x_vertices, "left"), ("R", src.y_vertices, "right")):
+            gs, gd = getattr(src, graph), getattr(dst, graph)
+            verts = sorted(set(verts))
+            for u in verts:
+                for v in verts:
+                    m = (len(gd.edges_between(u, v)), len(gs.edges_between(u, v)))
+                    if m[0] and m[1]:
+                        key = (side, u, v)
+                        self.keys.append(key)
+                        self.shapes[key] = m
+                        self.offsets[key] = off
+                        off += m[0] * m[1]
         self.n_var = off
 
+    def block(self, flat: np.ndarray, key: tuple) -> np.ndarray:
+        """The `key` blocks of a flat family or a stack of them, as a view."""
+        d, s = self.shapes[key]
+        o = self.offsets[key]
+        return flat[..., o:o + d * s].reshape(*flat.shape[:-1], d, s)
+
     def unflatten(self, vec: np.ndarray) -> IntertwinerFamily:
-        blocks = {}
-        for k in self.keys:
-            m = self.shapes[k]
-            o = self.offsets[k]
-            blocks[k] = vec[o:o + m[0] * m[1]].reshape(m)
-        return IntertwinerFamily(blocks)
+        return IntertwinerFamily({k: self.block(vec, k) for k in self.keys})
 
     def constraint_pairs(self):
         """Per (top edge, bottom edge): the two cell matrices and slot keys."""
@@ -142,20 +144,17 @@ class _HomProblem:
                 kl, kr = ("L", x, z), ("R", y, w)
                 yield kl, kr, a_mat, b_mat
 
-    def residual(self, fam: IntertwinerFamily) -> float:
+    def residual(self, stack: np.ndarray) -> float:
+        """Largest entry of ``A T_L - T_R B`` over every family of the stack."""
         worst = 0.0
         for kl, kr, a_mat, b_mat in self.constraint_pairs():
-            tl = fam.blocks.get(kl)
-            tr = fam.blocks.get(kr)
-            term = 0.0
-            c = None
-            if tl is not None and a_mat.size:
-                c = a_mat @ tl
-            if tr is not None and b_mat.size:
-                c = (0 if c is None else c) - tr @ b_mat
-            if c is not None and np.size(c):
-                term = float(np.max(np.abs(c)))
-            worst = max(worst, term)
+            c = 0
+            if kl in self.offsets and a_mat.size:
+                c = a_mat @ self.block(stack, kl)
+            if kr in self.offsets and b_mat.size:
+                c = c - self.block(stack, kr) @ b_mat
+            if np.size(c):
+                worst = max(worst, float(np.max(np.abs(c))))
         return worst
 
 
@@ -209,43 +208,24 @@ def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
     gram[n_left:, :n_left] = gram[:n_left, n_left:].conj().T
     null_mask, evecs, smax = gram_null_space(gram, True, DecompositionError,
                                              "no clean spectral gap in hom system")
-    fams = [prob.unflatten(evecs[:, i]) for i in np.nonzero(null_mask)[0]]
-    for f in fams:
-        r = prob.residual(f)
-        if r > HOM_RESIDUAL_EPS * max(1.0, smax):
-            raise DecompositionError(f"kernel vector violates intertwining ({r:.3e})")
-    return fams
+    kern = np.ascontiguousarray(evecs[:, null_mask].T)
+    r = prob.residual(kern)
+    if r > HOM_RESIDUAL_EPS * max(1.0, smax):
+        raise DecompositionError(f"kernel vector violates intertwining ({r:.3e})")
+    return [prob.unflatten(v) for v in kern]
 
 
 # -- endomorphism splitting --------------------------------------------------
 
 
-def _family_lincomb(fams, coeffs) -> IntertwinerFamily:
-    blocks = {}
-    for f, c in zip(fams, coeffs):
-        for k, b in f.blocks.items():
-            if k in blocks:
-                blocks[k] = blocks[k] + c * b
-            else:
-                blocks[k] = c * b
-    return IntertwinerFamily(blocks)
-
-
-def _project_onto_span(fams, target: IntertwinerFamily) -> float:
-    """Distance from `target` to the span of `fams` (all assumed orthonormal)."""
-    v = target.flatten()
-    for f in fams:
-        b = f.flatten()
-        v = v - (b.conj() @ v) * b
-    return float(np.linalg.norm(v))
+def _span_distance(kern: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Distance of each row of `vecs` to the span of the orthonormal rows of `kern`."""
+    return np.linalg.norm(vecs - (vecs @ kern.conj().T) @ kern, axis=-1)
 
 
 def adjoint_closure_defect(basis: list[IntertwinerFamily]) -> float:
     """How far the span of an orthonormal basis is from being adjoint-closed."""
-    worst = 0.0
-    for f in basis:
-        worst = max(worst, _project_onto_span(basis, f.adjoint()))
-    return worst
+    return float(np.max(_span_distance(_stack(basis), _stack([f.adjoint() for f in basis]))))
 
 
 def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFamily]:
@@ -263,16 +243,17 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFam
     if defect > ADJOINT_CLOSURE_EPS:
         raise DecompositionError(f"End(c) not closed under the adjoint (defect {defect:.3e})")
     prob = _HomProblem(c, c)
+    kern = _stack(basis)
 
     for attempt in range(8):
         rng = np.random.default_rng(seed + attempt)
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        a = _family_lincomb(basis, coeffs)
-        s = IntertwinerFamily({k: a.blocks[k] + a.blocks[k].conj().T for k in a.blocks})
+        coeffs = rng.standard_normal(len(kern)) + 1j * rng.standard_normal(len(kern))
+        a = coeffs @ kern
 
         items = []  # (eigenvalue, block key, eigenvector)
-        for k, blk in s.blocks.items():
-            evals, evecs = np.linalg.eigh(blk)
+        for k in prob.keys:
+            blk = prob.block(a, k)
+            evals, evecs = np.linalg.eigh(blk + blk.conj().T)
             for i, lam in enumerate(evals):
                 items.append((float(lam), k, evecs[:, i]))
         items.sort(key=lambda it: it[0])
@@ -285,40 +266,24 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFam
             else:
                 clusters.append([it])
 
-        projections = []
-        ok = True
-        for cl in clusters:
-            blocks = {k: np.zeros((prob.shapes[k][0], prob.shapes[k][0]), dtype=complex)
-                      for k in prob.keys}
+        projs = np.zeros((len(clusters), prob.n_var), dtype=complex)
+        for p, cl in zip(projs, clusters):
             for _, k, v in cl:
-                blocks[k] += np.outer(v, v.conj())
-            p = IntertwinerFamily(blocks)
-            if _project_onto_span(basis, _normalized(p)) > SPAN_EPS:
-                ok = False
-                break
-            idem = max(float(np.max(np.abs(b @ b - b))) if b.size else 0.0
-                       for b in p.blocks.values())
-            if idem > IDEMPOTENCY_EPS:
-                ok = False
-                break
-            span = np.array([_compress_family(p, t).flatten() for t in basis])
-            rank = np.linalg.matrix_rank(span, tol=1e-8 * max(1.0, float(np.abs(span).max())))
-            if rank != 1:
-                ok = False
-                break
-            projections.append(p)
-        if ok:
-            return projections
+                prob.block(p, k)[...] += np.outer(v, v.conj())
+        unit = projs / np.linalg.norm(projs, axis=1, keepdims=True)
+        if np.max(_span_distance(kern, unit)) > SPAN_EPS:
+            continue
+        # per key: every cluster's block, and its compressions p t p of the basis
+        ps = [prob.block(projs, k) for k in prob.keys]
+        if max(float(np.max(np.abs(b @ b - b))) for b in ps) > IDEMPOTENCY_EPS:
+            continue
+        span = np.concatenate([(b[:, None] @ prob.block(kern, k) @ b[:, None])
+                               .reshape(len(projs), len(kern), -1)
+                               for b, k in zip(ps, prob.keys)], axis=-1)
+        cut = MINIMALITY_RANK_EPS * np.maximum(1.0, np.abs(span).max(axis=(1, 2)))
+        if np.all(np.linalg.matrix_rank(span, tol=cut) == 1):
+            return [prob.unflatten(p) for p in projs]
     raise DecompositionError("spectral-gap failure after 8 reseeds")
-
-
-def _normalized(f: IntertwinerFamily) -> IntertwinerFamily:
-    n = f.norm()
-    return IntertwinerFamily({k: b / n for k, b in f.blocks.items()}) if n else f
-
-
-def _compress_family(p: IntertwinerFamily, t: IntertwinerFamily) -> IntertwinerFamily:
-    return IntertwinerFamily({k: p.blocks[k] @ t.blocks[k] @ p.blocks[k] for k in p.blocks})
 
 
 def _phase_fix(vecs: np.ndarray) -> np.ndarray:
@@ -330,7 +295,7 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def compress(c: Connection, p: IntertwinerFamily, tol: float = 1e-9) -> Connection:
+def compress(c: Connection, p: IntertwinerFamily, tol: float = RANK_EPS) -> Connection:
     """The summand of `c` cut out by a self-adjoint projection in End(c).
 
     Chooses isometries v with v v* = p per vertex pair and conjugates every
@@ -383,7 +348,7 @@ def compress(c: Connection, p: IntertwinerFamily, tol: float = 1e-9) -> Connecti
                         values[(f"p:{x}>{z}:{j}", t, f"p:{y}>{w}:{i}", b)] = m[i, j]
 
     out = Connection(c.top, left, c.bottom, right, c.mu, values, name=f"{c.name}[p]")
-    rep = check_biunitarity(out, max(tol, 1e-8))
+    rep = check_biunitarity(out, max(tol, BIUNITARITY_FLOOR))
     if not rep.passed:
         raise DecompositionError(
             f"compressed connection fails bi-unitarity (residual {rep.max_residual:.3e}); "
@@ -424,14 +389,10 @@ class FusionData:
     mu: dict[str, float] = field(default_factory=dict)
     gamma: tuple[float, float] | None = None
 
-    def fuse(self, a: str, b: str) -> dict[str, int]:
-        return {cc: self.n_table[(a, b, cc)] for cc in self.labels if self.n_table[(a, b, cc)]}
-
     def multiplicities(self, n: int) -> dict[str, int]:
         """Multiplicities L_a^n of each label in the n-th power, by fusion recursion."""
         if n < 1:
             raise ValueError("n >= 1")
-        have = {a: self.l_table.get((a, 1), 0) for a in self.labels}
         top = max((m for (_, m) in self.l_table), default=0)
         if top < 1:
             raise ValueError("first-power multiplicities are missing")
@@ -595,9 +556,10 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     :class:`DepthExceededError` if new classes keep appearing past
     ``max_depth`` powers.  The fusion table and the first-power
     multiplicities come from a certified integer solve of the
-    multiplicity-matrix identities (see :func:`_fusion_tables`).
+    multiplicity-matrix identities (see :func:`_fusion_tables`), and the
+    conjugate of ``a`` is the one ``b`` with ``N_ab^1 == 1``.
     """
-    birep = check_biunitarity(w_conn, max(tol, 1e-8))
+    birep = check_biunitarity(w_conn, max(tol, BIUNITARITY_FLOOR))
     if not birep.passed:
         raise ConnectionError(f"input connection is not bi-unitary (residual {birep.max_residual:.3e})")
     wt = vertical_product(w_conn, renormalize(w_conn, "bar"))
@@ -660,16 +622,11 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     n_table, l_table = _fusion_tables(classes, reps, wt_norm, v0)
 
     conj = {}
-    for ea in classes:
-        bar = renormalize(reps[ea.label], "bar")
-        partner = None
-        for eb in classes:
-            if np.array_equal(eb.m, ea.m.T) and len(hom_space(bar, reps[eb.label])):
-                partner = eb.label
-                break
-        if partner is None:
-            raise DecompositionError(f"no conjugate found for {ea.label}")
-        conj[ea.label] = partner
+    for a in labels:
+        partners = [b for b in labels if n_table[(a, b, identity_label)]]
+        if len(partners) != 1 or n_table[(a, partners[0], identity_label)] != 1:
+            raise DecompositionError(f"no unique conjugate for {a} in the fusion table")
+        conj[a] = partners[0]
 
     fd = FusionData(labels=labels, identity=identity_label, v0=v0, d=d, w=w_value,
                     n_table=n_table, m_table=m_table, conj=conj, l_table=l_table,

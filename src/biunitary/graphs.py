@@ -169,12 +169,12 @@ def reverse_graph(g: LayeredGraph, name: str | None = None) -> LayeredGraph:
     return g.reverse(name)
 
 
-def perron_frobenius(
-    g: LayeredGraph,
-    tol: float = 1e-14,
-    max_iter: int = 100_000,
-    base: str | None = None,
-) -> tuple[float, dict[str, float]]:
+# Convergence tolerance and iteration cap of the Perron-Frobenius power iteration.
+PF_TOL = 1e-14
+PF_MAX_ITER = 100_000
+
+
+def perron_frobenius(g: LayeredGraph, base: str | None = None) -> tuple[float, dict[str, float]]:
     """Perron-Frobenius eigenvalue and positive two-sided eigenvector of a graph.
 
     Returns ``(lam, weights)`` with ``sum_x A[x,y] w[x] = lam * w[y]`` and
@@ -191,14 +191,15 @@ def perron_frobenius(
     m = a @ a.T
     v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
     lam2 = 0.0
-    for _ in range(max_iter):
+    for _ in range(PF_MAX_ITER):
         w = m @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise GraphError("degenerate adjacency: power iteration collapsed")
         w /= nw
         lam2_new = float(w @ (m @ w))
-        if abs(lam2_new - lam2) <= tol * max(lam2_new, 1.0) and np.max(np.abs(w - v)) <= 10 * tol:
+        if (abs(lam2_new - lam2) <= PF_TOL * max(lam2_new, 1.0)
+                and np.max(np.abs(w - v)) <= 10 * PF_TOL):
             v = w
             lam2 = lam2_new
             break
@@ -249,25 +250,6 @@ class SquareScheme:
     @property
     def v0(self) -> tuple[str, ...]:
         return self.g.src_vertices
-
-    @property
-    def v1(self) -> tuple[str, ...]:
-        return self.h.rng_vertices
-
-    @property
-    def v2(self) -> tuple[str, ...]:
-        return self.g_prime.rng_vertices
-
-    @property
-    def v3(self) -> tuple[str, ...]:
-        return self.g.rng_vertices
-
-    def rescaled(self, factor: float) -> "SquareScheme":
-        return SquareScheme(
-            self.g, self.h, self.g_prime, self.h_prime,
-            {v: factor * m for v, m in self.mu.items()},
-            self.gamma1, self.gamma2, self.base,
-        )
 
 
 @dataclass

@@ -30,6 +30,17 @@ CLUSTER_GAP_EPS = 1e-7
 SPAN_EPS = 1e-7
 # Largest entry of p @ p - p allowed for a spectral projection.
 IDEMPOTENCY_EPS = 1e-9
+# A spectral projection p is minimal when its compressions p t p of a basis
+# of End(c) have rank one at this cut, relative to max(1, largest entry).
+MINIMALITY_RANK_EPS = 1e-8
+# Discovery and compression check bi-unitarity at max(tol, this floor).
+BIUNITARITY_FLOOR = 1e-8
+
+# The flat solve skips its system when the pinned defect of the half ladder
+# is at most this, relative to max(1, its scale): every string is flat.
+EXACT_ZERO_EPS = 1e-20
+# Eigenvalue cut of st-2 Gram matrices of strings, relative to max(1, largest).
+ST2_RANK_EPS = 1e-10
 
 
 def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],

@@ -21,7 +21,7 @@ import numpy as np
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
 from .ladders import Ladder, LadderEngine, PathSet, grid_counts, paired_string_operator
-from .nullspace import gram_null_space
+from .nullspace import EXACT_ZERO_EPS, ST2_RANK_EPS, gram_null_space
 
 # Dense arrays a command may hold at once must fit in half of physical memory
 DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -191,7 +191,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     pathset = PathSet(g, k)
     lad = eng.half_ladder(pathset, k)
     total, scale = lad.pinned_defect(counts)
-    if total <= 1e-20 * max(1.0, scale):
+    if total <= EXACT_ZERO_EPS * max(1.0, scale):
         basis = StringBasis(w_conn.top, k, pathset)
         vecs = None
         if return_basis:
@@ -321,11 +321,11 @@ def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: in
 
 
 def _st2_rank(vecs: list[np.ndarray], gram: np.ndarray) -> int:
-    """Rank of the st-2 Gram matrix of some string vectors (1e-10 cut)."""
+    """Rank of the st-2 Gram matrix of some string vectors (``ST2_RANK_EPS`` cut)."""
     m = np.array(vecs)
     ev = np.linalg.eigvalsh((m.conj() * gram[None, :]) @ m.T)
     top = float(ev[-1]) if len(ev) else 0.0
-    return int(np.count_nonzero(ev > 1e-10 * max(1.0, top)))
+    return int(np.count_nonzero(ev > ST2_RANK_EPS * max(1.0, top)))
 
 
 def _prune(vs, tr: TraceData, target: int):

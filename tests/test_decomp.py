@@ -24,12 +24,14 @@ from biunitary import (
 )
 from biunitary.decomp import (
     adjoint_closure_defect,
+    _HomProblem,
     _left_multiplicity_matrix,
     _MultiplicitySolver,
 )
+from biunitary.nullspace import HOM_RESIDUAL_EPS
 
 from conftest import ALL_BUILDERS
-from fusion_oracle import hom_fusion_tables
+from fusion_oracle import hom_conjugates, hom_fusion_tables
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -76,6 +78,17 @@ class TestHomSpace:
         with pytest.raises(DecompositionError, match="^kernel vector violates intertwining "):
             hom_space(wt, wt)
 
+    def test_stacked_residual_flags_one_perturbed_kernel_vector(self, systems):
+        wt = wtilde(systems("dynkin:A4").wn)
+        prob = _HomProblem(wt, wt)
+        kern = np.array([f.flatten() for f in hom_space(wt, wt)])
+        assert prob.residual(kern) < HOM_RESIDUAL_EPS
+        bad = kern.copy()
+        bad[1] += 1e-4 * np.random.default_rng(0).standard_normal(prob.n_var)
+        assert prob.residual(bad) > HOM_RESIDUAL_EPS
+        # one pass over the stack is the worst of the per-vector residuals
+        assert prob.residual(bad) == max(prob.residual(v[None]) for v in bad)
+
 
 class TestSplitting:
     def test_irreducible_yields_identity_projection(self):
@@ -93,6 +106,19 @@ class TestSplitting:
     def test_trivial_product_splits_in_four(self, systems):
         s = systems("trivial:2")
         assert len(end_minimal_projections(wtilde(s.wn), seed=1)) == 4
+
+    @pytest.mark.parametrize("name", ALL_BUILDERS)
+    def test_product_splits_into_its_first_power_multiplicities(self, systems, name):
+        s = systems(name)
+        projs = end_minimal_projections(wtilde(s.wn), seed=1)
+        assert len(projs) == sum(s.fd.l_table[(a, 1)] for a in s.fd.labels)
+        for k, blk in projs[0].blocks.items():
+            ps = [p.blocks[k] for p in projs]
+            assert np.max(np.abs(sum(ps) - np.eye(blk.shape[0]))) < 1e-12
+            for i, p in enumerate(ps):
+                for q in ps[i + 1:]:
+                    assert np.max(np.abs(p @ q)) < 1e-12
+                    assert np.max(np.abs(q @ p)) < 1e-12
 
     def test_compress_identity_projection(self, systems):
         s = systems("dynkin:A3")
@@ -235,6 +261,7 @@ class TestIntegerFusion:
         n_table, l_table = hom_fusion_tables(s.fd, s.reps, s.wn)
         assert list(n_table.items()) == list(s.fd.n_table.items())
         assert l_table == {(a, 1): s.fd.l_table[(a, 1)] for a in s.fd.labels}
+        assert hom_conjugates(s.fd, s.reps) == s.fd.conj
 
     @pytest.mark.parametrize("name", ["dynkin:A4", "dynkin:A7", "dynkin:D5", "dynkin:E6"])
     def test_vertical_product_composes_left_edges_top_then_bottom(self, systems, name):
@@ -292,6 +319,22 @@ class TestIntegerFusion:
         fd, solves = self.table_hom_solves(monkeypatch, build_dynkin("D5"))
         # two free labels: one solve each per ordered pair, and one each for L^1
         assert solves == 2 * len(fd.labels) ** 2 + 2
+
+    @pytest.mark.parametrize("entries", [
+        {("a1", "a1", "a0"): 0},                          # no partner
+        {("a1", "a0", "a0"): 1},                          # two partners
+        {("a1", "a1", "a0"): 2},                          # the unit twice
+    ])
+    def test_corrupted_unit_entries_are_refused(self, monkeypatch, entries):
+        tables = biunitary.decomp._fusion_tables
+
+        def corrupted(*args):
+            n_table, l_table = tables(*args)
+            return n_table | entries, l_table
+
+        monkeypatch.setattr(biunitary.decomp, "_fusion_tables", corrupted)
+        with pytest.raises(DecompositionError, match="^no unique conjugate for a1 "):
+            discover_irreducibles(build_dynkin("A4"))
 
     def test_a_corrupted_multiplicity_matrix_is_refused(self, monkeypatch):
         init = _MultiplicitySolver.__init__

@@ -14,6 +14,7 @@ from biunitary import (
     read_connection,
     write_connection,
 )
+from biunitary.cli import main
 
 
 @pytest.mark.parametrize("make", [
@@ -82,3 +83,28 @@ def test_absent_cells_are_zero(tmp_path):
     assert len(doc["values"]) == len(conn.values)
     back = connection_from_document(doc)
     assert back.value(("H:0", "G:0", "Hp:1", "Gp:0")) == 0
+
+
+def _without_graphs():
+    doc = connection_to_document(build_trivial(2))
+    doc["graphs"] = {}
+    return doc
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: {"format": "connection-interchange", "version": 1},
+     "missing or invalid field 'layers' (KeyError: 'layers')"),
+    (lambda: [{"format": "connection-interchange", "version": 1}],
+     "connection document is not a JSON object"),
+    (_without_graphs, "missing or invalid field 'graphs.top' (KeyError: 'top')"),
+])
+def test_malformed_documents_name_the_field(tmp_path, capsys, make, message):
+    with pytest.raises(ConnectionError) as err:
+        connection_from_document(make())
+    assert message in str(err.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make()))
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [f"error: {err.value}"]
