@@ -53,24 +53,18 @@ class StringBasis:
 
         p1, p2, xs, vs = [], [], [], []
         self.grids: dict[tuple[str, str], np.ndarray] = {}
-        pos = 0
         self.block_slices: dict[str, slice] = {}
-        for x in sorted({s for s, _ in self.block_paths}):
-            x_start = pos
-            for (s, v), idxs in self.block_paths.items():
-                if s != x:
-                    continue
-                n = len(idxs)
-                grid = np.arange(pos, pos + n * n).reshape(n, n)
-                self.grids[(x, v)] = grid
-                for i in idxs:
-                    for j in idxs:
-                        p1.append(i)
-                        p2.append(j)
-                        xs.append(x)
-                        vs.append(v)
-                pos += n * n
-            self.block_slices[x] = slice(x_start, pos)
+        pos = 0
+        for (x, v), idxs in self.block_paths.items():   # by base, then by end
+            n = len(idxs)
+            self.grids[(x, v)] = np.arange(pos, pos + n * n).reshape(n, n)
+            p1 += np.repeat(idxs, n).tolist()
+            p2 += np.tile(idxs, n).tolist()
+            xs += [x] * (n * n)
+            vs += [v] * (n * n)
+            start = self.block_slices[x].start if x in self.block_slices else pos
+            pos += n * n
+            self.block_slices[x] = slice(start, pos)
         self.p1_idx = np.asarray(p1)
         self.p2_idx = np.asarray(p2)
         self.base = tuple(xs)
@@ -124,20 +118,19 @@ class LoopBasis:
 
 
 class Field:
-    """An element of the direct sum of the string algebras over base vertices."""
+    """An element of the direct sum of matrix algebras indexed by the ``grids``
+    of its basis: the string algebras over base vertices for a
+    :class:`StringBasis`.  Every operation returns the caller's type."""
 
     def __init__(self, basis: StringBasis, vec: np.ndarray | None = None):
         self.basis = basis
         self.vec = np.zeros(basis.dim, dtype=complex) if vec is None else np.asarray(vec, dtype=complex)
 
-    def copy(self) -> "Field":
-        return Field(self.basis, self.vec.copy())
-
-    def matrices(self) -> dict[tuple[str, str], np.ndarray]:
+    def matrices(self) -> dict:
         return {key: self.vec[grid] for key, grid in self.basis.grids.items()}
 
     @classmethod
-    def from_matrices(cls, basis: StringBasis, mats) -> "Field":
+    def from_matrices(cls, basis, mats):
         vec = np.zeros(basis.dim, dtype=complex)
         for key, m in mats.items():
             vec[basis.grids[key]] = m
@@ -147,27 +140,24 @@ class Field:
     def identity(cls, basis: StringBasis) -> "Field":
         return cls(basis, basis.identity_vector())
 
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.basis, self.vec + other.vec)
+    def __add__(self, other):
+        return type(self)(self.basis, self.vec + other.vec)
 
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.basis, self.vec - other.vec)
+    def __sub__(self, other):
+        return type(self)(self.basis, self.vec - other.vec)
 
-    def __rmul__(self, scalar) -> "Field":
-        return Field(self.basis, scalar * self.vec)
+    def __rmul__(self, scalar):
+        return type(self)(self.basis, scalar * self.vec)
 
-    def __matmul__(self, other: "Field") -> "Field":
-        """String-algebra product, blockwise matrix multiplication."""
-        out = {}
-        mine = self.matrices()
+    def __matmul__(self, other):
+        """Algebra product, blockwise matrix multiplication."""
         theirs = other.matrices()
-        for key, m in mine.items():
-            out[key] = m @ theirs[key]
-        return Field.from_matrices(self.basis, out)
+        return self.from_matrices(self.basis, {key: m @ theirs[key]
+                                               for key, m in self.matrices().items()})
 
-    def star(self) -> "Field":
-        out = {key: m.conj().T for key, m in self.matrices().items()}
-        return Field.from_matrices(self.basis, out)
+    def star(self):
+        return self.from_matrices(self.basis, {key: m.conj().T
+                                               for key, m in self.matrices().items()})
 
     def block(self, x: str) -> np.ndarray:
         return self.vec[self.basis.block_slices[x]]

@@ -6,14 +6,15 @@ vertices.  Length-two strings form a multi-matrix algebra C containing the
 length-one algebra B; averaging the first leg over all parallel edges into
 the same middle vertex is the trace-preserving conditional expectation onto
 the relative commutant of B in C, for any faithful trace determined by the
-terminal vertex.
+terminal vertex.  Its elements are ``bases.Field`` objects whose blocks are
+the matrix algebras of the terminal vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .bases import Field
 
 __all__ = ["Bratteli2", "StringElement2", "conditional_expectation",
            "embed_level_one", "normalized_weights"]
@@ -26,7 +27,6 @@ class Bratteli2:
         self.level1 = tuple(sorted((str(e), str(v)) for e, v in level1))
         self.level2 = tuple(sorted((str(e), str(v), str(w)) for e, v, w in level2))
         self._mid = {e: v for e, v in self.level1}
-        self._src = {e: v for e, v, _ in self.level2}
         self._dst = {e: w for e, _, w in self.level2}
         mids = {v for _, v in self.level1}
         if any(v not in mids for _, v, _ in self.level2):
@@ -39,23 +39,31 @@ class Bratteli2:
         paths = [(e1, e2) for e1, v in self.level1 for e2, s, _ in self.level2 if s == v]
         paths.sort()
         self.paths = tuple(paths)
-        self.path_index = {p: i for i, p in enumerate(paths)}
         self.terminal = {p: self._dst[p[1]] for p in paths}
         self.pairs = tuple((p, q) for p in paths for q in paths
                            if self.terminal[p] == self.terminal[q])
         self.pair_index = {pq: i for i, pq in enumerate(self.pairs)}
         self.dim = len(self.pairs)
+        by_terminal: dict[str, list] = {}
+        for p in paths:
+            by_terminal.setdefault(self.terminal[p], []).append(p)
+        # per terminal vertex: pair_index[(p, q)] over the paths ending there
+        self.grids = {w: np.array([[self.pair_index[(p, q)] for q in ps] for p in ps])
+                      for w, ps in sorted(by_terminal.items())}
 
     def mid(self, level1_edge: str) -> str:
         return self._mid[level1_edge]
 
 
-@dataclass
-class StringElement2:
+class StringElement2(Field):
     """An element of the length-two string algebra, as a coefficient vector."""
 
-    diagram: Bratteli2
-    vec: np.ndarray
+    def __init__(self, diagram: Bratteli2, vec: np.ndarray):
+        super().__init__(diagram, vec)
+
+    @property
+    def diagram(self) -> Bratteli2:
+        return self.basis
 
     @classmethod
     def zero(cls, diagram: Bratteli2) -> "StringElement2":
@@ -67,47 +75,9 @@ class StringElement2:
         el.vec[diagram.pair_index[(tuple(p), tuple(q))]] = coeff
         return el
 
-    def __add__(self, other):
-        return StringElement2(self.diagram, self.vec + other.vec)
-
-    def __sub__(self, other):
-        return StringElement2(self.diagram, self.vec - other.vec)
-
-    def __rmul__(self, scalar):
-        return StringElement2(self.diagram, scalar * self.vec)
-
-    def __matmul__(self, other: "StringElement2") -> "StringElement2":
-        d = self.diagram
-        out = StringElement2.zero(d)
-        by_first: dict[tuple, list[int]] = {}
-        for i, (p, q) in enumerate(d.pairs):
-            by_first.setdefault(p, []).append(i)
-        for i, (p, q) in enumerate(d.pairs):
-            a = self.vec[i]
-            if a == 0:
-                continue
-            for j in by_first.get(q, ()):
-                b = other.vec[j]
-                if b == 0:
-                    continue
-                out.vec[d.pair_index[(p, d.pairs[j][1])]] += a * b
-        return out
-
-    def star(self) -> "StringElement2":
-        d = self.diagram
-        out = StringElement2.zero(d)
-        for i, (p, q) in enumerate(d.pairs):
-            out.vec[d.pair_index[(q, p)]] = np.conj(self.vec[i])
-        return out
-
     def trace(self, weights: dict[str, float]) -> complex:
         """Trace with weight per terminal vertex on diagonal matrix units."""
-        d = self.diagram
-        t = 0j
-        for i, (p, q) in enumerate(d.pairs):
-            if p == q:
-                t += self.vec[i] * weights[d.terminal[p]]
-        return complex(t)
+        return complex(sum(weights[w] * np.trace(m) for w, m in self.matrices().items()))
 
     def norm2(self, weights: dict[str, float]) -> float:
         v = (self.star() @ self).trace(weights)

@@ -49,7 +49,7 @@ from .connection import (
 from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
 from .mpo import operator_rank, pmpo_P, projector_trace
-from .nullspace import INTEGRALITY_EPS
+from .nullspace import DEFAULT_TOL, INTEGRALITY_EPS, PMPO_IDEMPOTENCY_EPS
 from .strings import check_budget, flat_fields
 
 REPORT_VERSION = 1
@@ -245,7 +245,7 @@ def cmd_pmpo(args) -> int:
              f"  rank                  {rank}",
              f"  idempotency residual  {defect:.3e}"]
     _emit(args, report, lines)
-    return 0 if defect < 1e-8 else 1
+    return 0 if defect < PMPO_IDEMPOTENCY_EPS else 1
 
 
 def cmd_relcomm(args) -> int:
@@ -322,7 +322,7 @@ def cmd_stats(args) -> int:
 def _add_io_args(p, with_k=False, with_n=False):
     p.add_argument("input", nargs="?", help="connection interchange document")
     p.add_argument("--builtin", help='builtin connection, e.g. "dynkin A3"')
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-depth", type=int, default=12, dest="max_depth")
     p.add_argument("--format", choices=("table", "json"), default="table")
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
         if args.command != "builtin":
             _validate_config(args)
         return args.func(args)
-    except (ConnectionError, GraphError, FileNotFoundError, ValueError) as err:
+    except (ConnectionError, GraphError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

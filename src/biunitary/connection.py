@@ -18,11 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import GraphError, LayeredGraph, SquareScheme, perron_frobenius
+from .nullspace import DEFAULT_TOL
 
 __all__ = [
     "ConnectionError",
@@ -47,8 +49,6 @@ __all__ = [
     "read_connection",
     "FORMAT_VERSION",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 class ConnectionError(ValueError):
@@ -111,6 +111,8 @@ class Connection:
         for v in self.vertex_ids():
             if v not in self.mu:
                 raise ConnectionError(f"missing weight for vertex {v!r}")
+            if not (math.isfinite(self.mu[v]) and self.mu[v] > 0):
+                raise ConnectionError(f"weight mu[{v!r}] = {self.mu[v]} is not positive and finite")
 
         vals = {}
         for key, v in values.items():
@@ -316,6 +318,15 @@ def _mu_factor(conn: Connection, cell: Cell) -> float:
     return math.sqrt((mu[x] * mu[w]) / (mu[y] * mu[z]))
 
 
+# kind -> (new (left, top, right, bottom) as positions of the old ones,
+#          which of them are reversed, whether values are rescaled, name suffix)
+_RENORMALIZATIONS = {
+    "prime": ((2, 1, 0, 3), (False, True, False, True), True, "'"),
+    "bar": ((0, 3, 2, 1), (True, False, True, False), True, "~"),
+    "bar_prime": ((2, 3, 0, 1), (True, True, True, True), False, "~'"),
+}
+
+
 def renormalize(conn: Connection, kind: str) -> Connection:
     """Reflected or rotated connections on the rewired graph square.
 
@@ -327,26 +338,16 @@ def renormalize(conn: Connection, kind: str) -> Connection:
     ``prime`` and ``bar`` are involutive; ``bar_prime`` equals their
     composition up to relabeling.
     """
-    if kind == "prime":
-        top, left = conn.top.reverse(), conn.right
-        bottom, right = conn.bottom.reverse(), conn.left
-        values = {Cell(r, t, l, b): _mu_factor(conn, c) * v.conjugate()
-                  for c, v in conn.cells() for (l, t, r, b) in (c,)}
-        suffix = "'"
-    elif kind == "bar":
-        top, left = conn.bottom, conn.left.reverse()
-        bottom, right = conn.top, conn.right.reverse()
-        values = {Cell(l, b, r, t): _mu_factor(conn, c) * v.conjugate()
-                  for c, v in conn.cells() for (l, t, r, b) in (c,)}
-        suffix = "~"
-    elif kind == "bar_prime":
-        top, left = conn.bottom.reverse(), conn.right.reverse()
-        bottom, right = conn.top.reverse(), conn.left.reverse()
-        values = {Cell(r, b, l, t): v
-                  for c, v in conn.cells() for (l, t, r, b) in (c,)}
-        suffix = "~'"
-    else:
+    if kind not in _RENORMALIZATIONS:
         raise ValueError(f"unknown renormalization kind {kind!r}")
+    perm, reverse, rescale, suffix = _RENORMALIZATIONS[kind]
+    old = (conn.left, conn.top, conn.right, conn.bottom)
+    left, top, right, bottom = (old[i].reverse() if rev else old[i]
+                                for i, rev in zip(perm, reverse))
+    moved = itemgetter(*perm)
+    values = {}
+    for c, v in conn.cells():
+        values[Cell(*moved(c))] = _mu_factor(conn, c) * v.conjugate() if rescale else v
     return Connection(top, left, bottom, right, conn.mu, values,
                       gamma=conn.gamma, base=conn.base, name=conn.name + suffix)
 
@@ -390,24 +391,33 @@ def _composite_vertical(g1: LayeredGraph, g2: LayeredGraph, name: str) -> Layere
     return LayeredGraph(name, verts.items(), edges, g1.source_layer, g2.range_layer)
 
 
+def _glue(first: Connection, second: Connection, first_side: str, second_side: str,
+          key) -> dict[Cell, complex]:
+    """Cell values of a product: ``v1 * v2`` summed over the cell pairs whose
+    ``first_side`` and ``second_side`` edges are the shared middle edge,
+    into the cell ``key(c1, c2)``."""
+    shared = attrgetter(second_side)
+    by_edge: dict[str, list[tuple[Cell, complex]]] = {}
+    for c2, v2 in second.cells():
+        by_edge.setdefault(shared(c2), []).append((c2, v2))
+    shared = attrgetter(first_side)
+    values: dict[Cell, complex] = {}
+    for c1, v1 in first.cells():
+        for c2, v2 in by_edge.get(shared(c1), ()):
+            k = key(c1, c2)
+            values[k] = values.get(k, 0j) + v1 * v2
+    return values
+
+
 def vertical_product(top: Connection, bottom: Connection, name: str | None = None) -> Connection:
     """Stack two connections; vertical edges compose and the shared horizontal edge is summed."""
     if not top.bottom.structurally_equal(bottom.top):
         raise ConnectionError("vertical product needs top.bottom == bottom.top")
     left = _composite_vertical(top.left, bottom.left, f"({top.left.name}|{bottom.left.name})")
     right = _composite_vertical(top.right, bottom.right, f"({top.right.name}|{bottom.right.name})")
-    mu = dict(bottom.mu)
-    mu.update(top.mu)
-
-    by_top: dict[str, list[tuple[Cell, complex]]] = {}
-    for c2, v2 in bottom.cells():
-        by_top.setdefault(c2.top, []).append((c2, v2))
-    values: dict[Cell, complex] = {}
-    for c1, v1 in top.cells():
-        for c2, v2 in by_top.get(c1.bottom, ()):  # shared middle edge
-            key = Cell(f"{c1.left}|{c2.left}", c1.top, f"{c1.right}|{c2.right}", c2.bottom)
-            values[key] = values.get(key, 0j) + v1 * v2
-    return Connection(top.top, left, bottom.bottom, right, mu, values,
+    values = _glue(top, bottom, "bottom", "top", lambda c1, c2: Cell(
+        f"{c1.left}|{c2.left}", c1.top, f"{c1.right}|{c2.right}", c2.bottom))
+    return Connection(top.top, left, bottom.bottom, right, bottom.mu | top.mu, values,
                       name=name or f"({top.name}*{bottom.name})")
 
 
@@ -418,18 +428,9 @@ def horizontal_product(leftc: Connection, rightc: Connection, name: str | None =
     top = _composite_vertical(leftc.top, rightc.top, f"({leftc.top.name}|{rightc.top.name})")
     bottom = _composite_vertical(leftc.bottom, rightc.bottom,
                                  f"({leftc.bottom.name}|{rightc.bottom.name})")
-    mu = dict(rightc.mu)
-    mu.update(leftc.mu)
-
-    by_left: dict[str, list[tuple[Cell, complex]]] = {}
-    for c2, v2 in rightc.cells():
-        by_left.setdefault(c2.left, []).append((c2, v2))
-    values: dict[Cell, complex] = {}
-    for c1, v1 in leftc.cells():
-        for c2, v2 in by_left.get(c1.right, ()):  # shared middle edge
-            key = Cell(c1.left, f"{c1.top}|{c2.top}", c2.right, f"{c1.bottom}|{c2.bottom}")
-            values[key] = values.get(key, 0j) + v1 * v2
-    return Connection(top, leftc.left, bottom, rightc.right, mu, values,
+    values = _glue(leftc, rightc, "right", "left", lambda c1, c2: Cell(
+        c1.left, f"{c1.top}|{c2.top}", c2.right, f"{c1.bottom}|{c2.bottom}"))
+    return Connection(top, leftc.left, bottom, rightc.right, rightc.mu | leftc.mu, values,
                       name=name or f"({leftc.name}.{rightc.name})")
 
 
@@ -721,15 +722,22 @@ def connection_from_document(doc: dict) -> Connection:
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
         raise ConnectionError(f"connection document: missing or invalid field {where!r} "
                               f"({type(err).__name__}: {err})") from err
+    if gamma is not None and not all(math.isfinite(g) and g > 0 for g in gamma):
+        raise ConnectionError(f"connection document: field 'gamma' = {list(gamma)} "
+                              "is not positive and finite")
+    base = doc.get("base")
+    if base is not None and base not in graphs["top"].src_vertices:
+        raise ConnectionError(f"connection document: field 'base' = {base!r} is not "
+                              "a source vertex of the top graph")
     if not mu:
         # weights are optional in the format: recover them from the graphs
         try:
-            mu = _derive_mu(graphs, doc.get("base"))
+            mu = _derive_mu(graphs, base)
         except GraphError as err:
             raise ConnectionError(f"document carries no weights and none can be "
                                   f"derived: {err}") from err
     return Connection(graphs["top"], graphs["left"], graphs["bottom"], graphs["right"],
-                      mu, values, gamma=gamma, base=doc.get("base"), name=doc.get("name", ""))
+                      mu, values, gamma=gamma, base=base, name=doc.get("name", ""))
 
 
 def write_connection(conn: Connection, path) -> None:

@@ -342,10 +342,8 @@ def compress(c: Connection, p: IntertwinerFamily, tol: float = RANK_EPS) -> Conn
             if vl is None or vr is None:
                 continue
             m = vr.conj().T @ c.cell_matrix(t, b) @ vl
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    if m[i, j] != 0:
-                        values[(f"p:{x}>{z}:{j}", t, f"p:{y}>{w}:{i}", b)] = m[i, j]
+            for (i, j), v in np.ndenumerate(m):
+                values[(f"p:{x}>{z}:{j}", t, f"p:{y}>{w}:{i}", b)] = v
 
     out = Connection(c.top, left, c.bottom, right, c.mu, values, name=f"{c.name}[p]")
     rep = check_biunitarity(out, max(tol, BIUNITARITY_FLOOR))
@@ -424,14 +422,6 @@ class _ClassEntry:
     m: np.ndarray
     d: float
     first_n: int
-
-
-def _left_multiplicity_matrix(c: Connection, v0: tuple[str, ...]) -> np.ndarray:
-    m = np.zeros((len(v0), len(v0)), dtype=np.int64)
-    for i, x in enumerate(v0):
-        for j, z in enumerate(v0):
-            m[i, j] = len(c.left.edges_between(x, z))
-    return m
 
 
 def _pf_dimension(m: np.ndarray) -> float:
@@ -515,8 +505,7 @@ class _MultiplicitySolver:
         return n
 
 
-def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection],
-                   wt: Connection, v0: tuple[str, ...]):
+def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection], wt: Connection):
     """``(n_table, l_table)`` by the exact multiplicity-matrix identities.
 
     ``vertical_product(top, bottom)`` composes left edges top then bottom, so
@@ -537,7 +526,7 @@ def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection],
             for ec, nc in zip(classes, row):
                 n_table[(ea.label, eb.label, ec.label)] = nc
     free = {c: len(hom_space(reps[classes[c].label], wt)) for c in solver.free}
-    row = solver.solve(_left_multiplicity_matrix(wt, v0), free, "the generating product")
+    row = solver.solve(wt.left.adjacency(), free, "the generating product")
     return n_table, {(e.label, 1): nc for e, nc in zip(classes, row)}
 
 
@@ -564,11 +553,13 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
         raise ConnectionError(f"input connection is not bi-unitary (residual {birep.max_residual:.3e})")
     wt = vertical_product(w_conn, renormalize(w_conn, "bar"))
     g = w_conn.top
-    v0 = tuple(sorted(set(g.src_vertices)))
+    # v0 is sorted.  Every class and wt has bottom == top, so Connection makes
+    # its left graph run from v0 to v0, and ``left.adjacency()`` is in v0 order.
+    v0 = g.src_vertices
     ident = build_identity(g, w_conn.mu)
 
     classes: list[_ClassEntry] = [
-        _ClassEntry("?", ident, _left_multiplicity_matrix(ident, v0), 1.0, 0)]
+        _ClassEntry("?", ident, ident.left.adjacency(), 1.0, 0)]
     frontier = [classes[0]]
     depth = 0
     while frontier:
@@ -580,7 +571,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
         new_frontier: list[_ClassEntry] = []
         for entry in frontier:
             prod = vertical_product(entry.rep, wt)
-            prod_m = _left_multiplicity_matrix(prod, v0)
+            prod_m = prod.left.adjacency()
             accounted = np.zeros_like(prod_m)
             for known in classes:
                 mult = len(hom_space(known.rep, prod))
@@ -588,7 +579,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
             if np.array_equal(accounted, prod_m):
                 continue
             for summand in decompose(prod, seed=seed, tol=tol):
-                sm = _left_multiplicity_matrix(summand, v0)
+                sm = summand.left.adjacency()
                 match = None
                 for known in classes:
                     if np.array_equal(known.m, sm) and len(hom_space(summand, known.rep)):
@@ -619,7 +610,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     d = {e.label: e.d for e in classes}
     m_table = {e.label: e.m for e in classes}
 
-    n_table, l_table = _fusion_tables(classes, reps, wt_norm, v0)
+    n_table, l_table = _fusion_tables(classes, reps, wt_norm)
 
     conj = {}
     for a in labels:

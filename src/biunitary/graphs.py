@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nullspace import DEFAULT_TOL
+
 __all__ = [
     "GraphError",
     "LayeredGraph",
@@ -276,7 +278,7 @@ def _eigen_residuals(g: LayeredGraph, mu: dict[str, float], gamma: float) -> tup
     return r1, r2
 
 
-def validate_square(s: SquareScheme, tol: float = 1e-9) -> SquareReport:
+def validate_square(s: SquareScheme, tol: float = DEFAULT_TOL) -> SquareReport:
     """Check the eight eigenvalue equations, positivity, and connectivity."""
     rep = SquareReport()
     pairs = [("g", s.g, s.gamma1), ("g_prime", s.g_prime, s.gamma1),

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Default bi-unitarity threshold: ``check_biunitarity``, ``validate_square``
+# and the ``--tol`` option of the command line.
+DEFAULT_TOL = 1e-9
 # Singular-value cut of operator ranks, relative to max(1, sigma_max).
 RANK_EPS = 1e-8
 # Effective singular-value cut used on Gram spectra: squaring the system
@@ -30,6 +33,8 @@ CLUSTER_GAP_EPS = 1e-7
 SPAN_EPS = 1e-7
 # Largest entry of p @ p - p allowed for a spectral projection.
 IDEMPOTENCY_EPS = 1e-9
+# ``pmpo`` exits 1 unless the idempotency residual of the dense P^k is below this.
+PMPO_IDEMPOTENCY_EPS = 1e-8
 # A spectral projection p is minimal when its compressions p t p of a basis
 # of End(c) have rank one at this cut, relative to max(1, largest entry).
 MINIMALITY_RANK_EPS = 1e-8
@@ -39,7 +44,11 @@ BIUNITARITY_FLOOR = 1e-8
 # The flat solve skips its system when the pinned defect of the half ladder
 # is at most this, relative to max(1, its scale): every string is flat.
 EXACT_ZERO_EPS = 1e-20
-# Eigenvalue cut of st-2 Gram matrices of strings, relative to max(1, largest).
+# The squared layer-0 weights of a trace must sum to w within this, relative
+# to max(1, w).
+WEIGHT_SUM_EPS = 1e-8
+# A string element is independent of an st-2 orthonormal list when its squared
+# st-2 residual exceeds this, relative to max(1, its squared st-2 norm).
 ST2_RANK_EPS = 1e-10
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
 from .ladders import Ladder, LadderEngine, PathSet, grid_counts, paired_string_operator
-from .nullspace import EXACT_ZERO_EPS, ST2_RANK_EPS, gram_null_space
+from .nullspace import EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, gram_null_space
 
 # Dense arrays a command may hold at once must fit in half of physical memory
 DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -57,18 +57,17 @@ class TraceData:
 
     def __init__(self, basis: StringBasis, mu: dict[str, float], gamma1: float, w: float):
         self.basis = basis
-        self.mu = mu
-        self.gamma1 = gamma1
-        self.w = w
         s0 = sum(mu[x] ** 2 for x in basis.base_vertices)
-        if abs(s0 - w) > 1e-8 * max(1.0, w):
+        if abs(s0 - w) > WEIGHT_SUM_EPS * max(1.0, w):
             raise ValueError(f"weights are not normalized: sum mu^2 = {s0:.12g}, w = {w:.12g}")
-        k = basis.k
+        inv_gamma_k = gamma1 ** (-basis.k)
         self.diag_mask = basis.p1_idx == basis.p2_idx
-        self.local_weight = np.array(
-            [gamma1 ** (-k) * mu[basis.end[i]] / mu[basis.base[i]] for i in range(basis.dim)])
+        self.local_weight = np.empty(basis.dim)
         # the st-2 inner product is diagonal: local weight times mu_base^2 / w
-        self.gram = _st2_weights(basis, mu, gamma1 ** (-k), w)
+        self.gram = np.empty(basis.dim)
+        for (x, v), grid in basis.grids.items():
+            self.local_weight[grid] = inv_gamma_k * mu[v] / mu[x]
+            self.gram[grid] = inv_gamma_k * mu[v] * mu[x] / w
 
     def trace_at(self, x: str, field: Field) -> complex:
         sl = self.basis.block_slices[x]
@@ -113,7 +112,6 @@ class FlatFieldResult:
     dimension: int
     basis: StringBasis
     vectors: np.ndarray | None          # (dim B_k, dimension), st-2 orthonormal
-    system_scale: float                 # largest singular value of the solved system
     exact: bool                         # all constraints vanished identically
 
     def fields(self) -> list[Field]:
@@ -197,8 +195,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
         if return_basis:
             check_budget(16 * basis.dim ** 2, what, "its basis")
             vecs = np.diag(1.0 / np.sqrt(_st2_gram(basis, w_conn, k))).astype(complex)
-        return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs,
-                               system_scale=math.sqrt(scale), exact=True)
+        return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs, exact=True)
 
     by_pair: dict[tuple[str, str], list[str]] = {}
     for e, s, r in lad.anchors.edges:
@@ -228,8 +225,8 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
                 if z1 == z2:
                     c -= reach[y]
                 gram += c.conj().T @ c
-    null, evecs, smax = gram_null_space(gram, return_basis, RuntimeError,
-                                        "flatness system has no clean spectral gap")
+    null, evecs, _ = gram_null_space(gram, return_basis, RuntimeError,
+                                     "flatness system has no clean spectral gap")
     dim = int(np.count_nonzero(null))
     vecs = None
     if return_basis and dim:
@@ -241,18 +238,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
         gm = (v.conj().T * g[None, :]) @ v
         ev, eu = np.linalg.eigh(gm)
         vecs = v @ eu @ np.diag(1.0 / np.sqrt(np.clip(ev, 1e-300, None)))
-    return FlatFieldResult(dimension=dim, basis=basis, vectors=vecs,
-                           system_scale=smax, exact=False)
-
-
-def _st2_weights(basis: StringBasis, mu: dict[str, float], inv_gamma_k: float,
-                 w: float) -> np.ndarray:
-    """The diagonal of the st-2 Gram matrix, gamma1^-k mu_end mu_base / w,
-    given ``inv_gamma_k = gamma1^-k``."""
-    g = np.empty(basis.dim)
-    for (x, v), grid in basis.grids.items():
-        g[grid] = inv_gamma_k * mu[v] * mu[x] / w
-    return g
+    return FlatFieldResult(dimension=dim, basis=basis, vectors=vecs, exact=False)
 
 
 def _st2_gram(basis: StringBasis, w_conn: Connection, k: int) -> np.ndarray:
@@ -260,8 +246,8 @@ def _st2_gram(basis: StringBasis, w_conn: Connection, k: int) -> np.ndarray:
     mu = w_conn.mu
     if w_conn.gamma is None:
         raise ConnectionError("connection carries no eigenvalue data for the trace")
-    return _st2_weights(basis, mu, w_conn.gamma[0] ** (-k),
-                        sum(mu[x] ** 2 for x in basis.base_vertices))
+    w = sum(mu[x] ** 2 for x in basis.base_vertices)
+    return TraceData(basis, mu, w_conn.gamma[0], w).gram
 
 
 # -- Jones projections --------------------------------------------------------
@@ -297,46 +283,27 @@ def jones_projection(g, mu: dict[str, float], gamma1: float, i: int, k: int,
 
 def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: int,
                          basis: StringBasis | None = None) -> int:
-    """Dimension of the unital algebra generated by the Temperley-Lieb idempotents."""
+    """Dimension of the unital algebra generated by the Temperley-Lieb idempotents.
+
+    Grows an st-2 orthonormal list from the identity.  Each queued element is
+    orthogonalised twice against the list and kept when its squared st-2
+    residual exceeds ``ST2_RANK_EPS * max(1, |v|^2)``; a kept element queues
+    its right products with every ``e_i``, so the list spans the algebra
+    once the queue runs dry.
+    """
     if basis is None:
         basis = StringBasis(g, k)
     tr = TraceData(basis, mu, gamma1, w)
-    gens = [Field.identity(basis)]
-    gens += [jones_projection(g, mu, gamma1, i, k, basis) for i in range(1, k)]
-
-    span = list(gens)
-    rank = _st2_rank([v.vec for v in span], tr.gram)
-    while True:
-        new = []
-        for a in span:
-            for b in gens[1:]:
-                new.append(a @ b)
-        trial = span + new
-        r2 = _st2_rank([v.vec for v in trial], tr.gram)
-        if r2 == rank:
-            return rank
-        # keep an independent subset to bound growth
-        span = _prune(trial, tr, r2)
-        rank = r2
-
-
-def _st2_rank(vecs: list[np.ndarray], gram: np.ndarray) -> int:
-    """Rank of the st-2 Gram matrix of some string vectors (``ST2_RANK_EPS`` cut)."""
-    m = np.array(vecs)
-    ev = np.linalg.eigvalsh((m.conj() * gram[None, :]) @ m.T)
-    top = float(ev[-1]) if len(ev) else 0.0
-    return int(np.count_nonzero(ev > ST2_RANK_EPS * max(1.0, top)))
-
-
-def _prune(vs, tr: TraceData, target: int):
-    kept = []
-    m = []
-    for v in vs:
-        m.append(v.vec)
-        if _st2_rank(m, tr.gram) == len(m):
-            kept.append(v)
-        else:
-            m.pop()
-        if len(kept) == target:
-            break
-    return kept
+    gens = [jones_projection(g, mu, gamma1, i, k, basis) for i in range(1, k)]
+    ortho = np.empty((0, basis.dim), dtype=complex)     # st-2 orthonormal rows
+    queue = deque([Field.identity(basis)])
+    while queue:
+        v = queue.popleft()
+        x = v.vec
+        for _ in range(2):
+            x = x - ((ortho.conj() * tr.gram) @ x) @ ortho
+        n2 = float(np.sum(np.abs(x) ** 2 * tr.gram))
+        if n2 > ST2_RANK_EPS * max(1.0, tr.norm_st2(v) ** 2):
+            ortho = np.vstack([ortho, x / math.sqrt(n2)])
+            queue.extend(v @ e for e in gens)
+    return len(ortho)

@@ -11,6 +11,8 @@ from biunitary import (
     normalized_weights,
 )
 
+from string_oracles import pair_product, pair_star, pair_trace
+
 
 def random_diagram(rng) -> Bratteli2:
     n_mid = int(rng.integers(1, 4))
@@ -58,6 +60,24 @@ def test_mixed_first_legs_map_to_zero():
     el = StringElement2.unit(d, ("a0", "b"), ("a1", "b"))
     out = conditional_expectation(d, el)
     assert np.max(np.abs(out.vec)) == 0.0
+
+
+def test_field_algebra_matches_the_pair_loops():
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        d = random_diagram(rng)
+        weights = random_trace(rng, d)
+        a, b = (StringElement2(d, rng.standard_normal(d.dim) + 1j * rng.standard_normal(d.dim))
+                for _ in range(2))
+        prod = a @ b
+        assert type(prod) is StringElement2 and prod.diagram is d
+        assert np.max(np.abs(prod.vec - pair_product(d, a.vec, b.vec))) < 1e-12
+        assert np.max(np.abs(a.star().vec - pair_star(d, a.vec))) < 1e-12
+        assert abs(a.trace(weights) - pair_trace(d, a.vec, weights)) < 1e-12
+        for w, grid in d.grids.items():
+            for i, j in np.ndindex(grid.shape):
+                p, q = d.pairs[grid[i, j]]
+                assert d.terminal[p] == d.terminal[q] == w
 
 
 def test_seeded_corpus_properties():

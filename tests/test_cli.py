@@ -52,6 +52,19 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "dynkin A3", "--out", "{dir}"],
+    ["builtin", "dynkin", "A3", "--out", "{dir}"],
+    ["check", "{dir}"],
+])
+def test_directory_paths_are_input_errors(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(tmp_path) in err
+
+
 def test_verify_theorem_a3(capsys):
     code, out, _ = run(capsys, "verify-theorem", "--builtin", "dynkin A3", "-k", "3")
     assert code == 0

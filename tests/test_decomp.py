@@ -25,7 +25,6 @@ from biunitary import (
 from biunitary.decomp import (
     adjoint_closure_defect,
     _HomProblem,
-    _left_multiplicity_matrix,
     _MultiplicitySolver,
 )
 from biunitary.nullspace import HOM_RESIDUAL_EPS
@@ -135,7 +134,7 @@ class TestSplitting:
         s = systems("dynkin:A3")
         summands = decompose(wtilde(s.wn), seed=4)
         dims = sorted(float(np.max(np.abs(np.linalg.eigvals(
-            _left_multiplicity_matrix(x, s.fd.v0).astype(float))))) for x in summands)
+            x.left.adjacency().astype(float))))) for x in summands)
         assert np.allclose(dims, [1.0, 1.0], atol=1e-10)
 
     def test_a4_nontrivial_summand_has_golden_dimension(self, systems):
@@ -255,6 +254,17 @@ def left_counts(conn):
 
 
 class TestIntegerFusion:
+    @pytest.mark.parametrize("name", ALL_BUILDERS)
+    def test_left_adjacency_is_in_v0_order(self, systems, name):
+        """Discovery reads multiplicity matrices as ``left.adjacency()``: rows and
+        columns must be the layer-0 vertices in ``fd.v0`` order."""
+        s = systems(name)
+        v0 = s.fd.v0
+        for c in [*s.reps.values(), wtilde(s.wn)]:
+            assert c.left.src_vertices == c.left.rng_vertices == v0
+            counts = [[len(c.left.edges_between(x, z)) for z in v0] for x in v0]
+            assert np.array_equal(c.left.adjacency(), counts)
+
     @pytest.mark.parametrize("name", ALL_BUILDERS + ["dynkin:E7", "dynkin:A11"])
     def test_tables_match_the_hom_oracle(self, systems, name):
         s = systems(name)
@@ -280,7 +290,7 @@ class TestIntegerFusion:
         for a in s.fd.labels:
             for b in s.fd.labels:
                 prod = vertical_product(s.reps[b], s.reps[a])
-                assert np.array_equal(_left_multiplicity_matrix(prod, s.fd.v0),
+                assert np.array_equal(prod.left.adjacency(),
                                       s.fd.m_table[b] @ s.fd.m_table[a])
 
     @pytest.mark.parametrize("name,n_free", [("dynkin:A7", 0), ("dynkin:D5", 2),

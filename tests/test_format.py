@@ -91,12 +91,29 @@ def _without_graphs():
     return doc
 
 
+def _a3_with(field, value):
+    """The A3 document with one field replaced; ``mu`` replaces the weight of 0:1."""
+    doc = connection_to_document(build_dynkin("A3"))
+    if field == "mu":
+        doc["mu"]["0:1"] = value
+    else:
+        doc[field] = value
+    return doc
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: {"format": "connection-interchange", "version": 1},
      "missing or invalid field 'layers' (KeyError: 'layers')"),
     (lambda: [{"format": "connection-interchange", "version": 1}],
      "connection document is not a JSON object"),
     (_without_graphs, "missing or invalid field 'graphs.top' (KeyError: 'top')"),
+    (lambda: _a3_with("mu", "0"), "weight mu['0:1'] = 0.0 is not positive and finite"),
+    (lambda: _a3_with("mu", "nan"), "weight mu['0:1'] = nan is not positive and finite"),
+    (lambda: _a3_with("mu", "-1"), "weight mu['0:1'] = -1.0 is not positive and finite"),
+    (lambda: _a3_with("gamma", ["0", "0"]),
+     "field 'gamma' = [0.0, 0.0] is not positive and finite"),
+    (lambda: _a3_with("base", "0:9"),
+     "field 'base' = '0:9' is not a source vertex of the top graph"),
 ])
 def test_malformed_documents_name_the_field(tmp_path, capsys, make, message):
     with pytest.raises(ConnectionError) as err:

@@ -11,6 +11,9 @@ from biunitary import (
     pmpo_P,
 )
 
+from conftest import ALL_BUILDERS
+from string_oracles import ranked_span_dimension
+
 
 @pytest.fixture(scope="module", params=["dynkin:A3", "dynkin:A4", "dynkin:A5",
                                         "dynkin:A6", "dynkin:A7"])
@@ -65,3 +68,12 @@ class TestSpan:
         span = jones_span_dimension(s.wn.top, s.wn.mu, s.wn.gamma[0], s.fd.w, k, sb)
         rank = operator_rank(pmpo_P(s.fd, s.reps, k, lb))
         assert span == rank
+
+
+@pytest.mark.parametrize("name", ALL_BUILDERS)
+def test_span_dimension_matches_the_ranked_oracle(systems, bases_for, name):
+    s = systems(name)
+    for k in (2, 3, 4):
+        sb, _ = bases_for(name, k)
+        args = (s.wn.top, s.wn.mu, s.wn.gamma[0], s.fd.w, k, sb)
+        assert jones_span_dimension(*args) == ranked_span_dimension(*args), k

@@ -7,8 +7,8 @@ For each report this writes ``OUTDIR/<name>.stdout``, ``.stderr`` and
 the checkout that holds this script, at seed 0 with ``--format json``:
 
 * ``decompose`` on the fourteen test builders plus E7, A11 and A15;
-* ``verify-theorem -k 4``, ``relcomm -k 3 --basis`` and ``pmpo -k 3`` on
-  the fourteen test builders.
+* ``verify-theorem -k 4``, ``relcomm -k 3 --basis``, ``pmpo -k 3``,
+  ``check`` and ``stats -n 4`` on the fourteen test builders.
 
 Two checkouts give the same reports when ``diff -r`` of their output
 directories is empty.
@@ -36,6 +36,8 @@ REPORTS = (
     + [("verify-theorem", b, ["-k", "4"]) for b in BUILDERS]
     + [("relcomm", b, ["-k", "3", "--basis"]) for b in BUILDERS]
     + [("pmpo", b, ["-k", "3"]) for b in BUILDERS]
+    + [("check", b, []) for b in BUILDERS]
+    + [("stats", b, ["-n", "4"]) for b in BUILDERS]
 )
 
 
