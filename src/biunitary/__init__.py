@@ -58,9 +58,7 @@ from .graphs import (
     LayeredGraph,
     SquareReport,
     SquareScheme,
-    count_loops,
     count_paths,
-    enumerate_paths,
     perron_frobenius,
     reverse_graph,
     validate_square,
@@ -81,7 +79,6 @@ from .strings import (
     flat_fields,
     jones_projection,
     jones_span_dimension,
-    transport_T,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -72,14 +72,6 @@ class StringBasis:
         self.dim = pos
         self.base_vertices = tuple(sorted(self.block_slices))
 
-    def index_of(self, p1: tuple[str, ...], p2: tuple[str, ...]) -> int:
-        i = self.pathset.index[self.k][p1]
-        j = self.pathset.index[self.k][p2]
-        hits = np.nonzero((self.p1_idx == i) & (self.p2_idx == j))[0]
-        if len(hits) != 1:
-            raise KeyError((p1, p2))
-        return int(hits[0])
-
     def identity_vector(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[self.p1_idx == self.p2_idx] = 1.0
@@ -111,10 +103,6 @@ class LoopBasis:
         self.fold_factor = np.asarray(
             [math.sqrt(mu[self.base[i]] / mu[self.mid[i]]) for i in range(self.dim)])
         self.block_slices = strings.block_slices
-        self._index = {loop: i for i, loop in enumerate(self.loops)}
-
-    def index_of(self, loop: tuple[str, ...]) -> int:
-        return self._index[loop]
 
 
 class Field:
@@ -158,6 +146,3 @@ class Field:
     def star(self):
         return self.from_matrices(self.basis, {key: m.conj().T
                                                for key, m in self.matrices().items()})
-
-    def block(self, x: str) -> np.ndarray:
-        return self.vec[self.basis.block_slices[x]]

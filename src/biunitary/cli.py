@@ -16,7 +16,7 @@ integer.  ``pmpo`` builds the dense P^k for its SVD/eigen rank and its
 idempotency residual, and exits 2 before building it when the two dense
 arrays it holds would exceed half of physical memory.  ``relcomm`` and
 ``verify-theorem`` exit 2 under the same budget before a flat solve whose
-half-ladder blocks or transports would exceed it; ``verify-theorem`` solves
+half-ladder blocks or stacks would exceed it; ``verify-theorem`` solves
 its largest k first, so an oversized k is refused before any other solve.
 A JSON report formats every entry of the ``pmpo --dump`` matrix and the
 ``relcomm --basis`` vectors as a string, ``FORMATTED_ENTRY_BYTES`` each

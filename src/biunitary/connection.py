@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -96,6 +97,9 @@ class Connection:
         self.bottom: LayeredGraph = bottom
         self.right: LayeredGraph = right
         self.mu: dict[str, float] = dict(mu)
+        if gamma is not None and not (isinstance(gamma, (tuple, list)) and len(gamma) == 2 and all(
+                isinstance(g, numbers.Real) and math.isfinite(g) and g > 0 for g in gamma)):
+            raise ConnectionError(f"gamma = {gamma!r} is not a pair of positive finite numbers")
         self.gamma = gamma
         self.base = base
         self.name = name
@@ -140,10 +144,6 @@ class Connection:
     @property
     def y_vertices(self):
         return self.top.rng_vertices
-
-    @property
-    def z_vertices(self):
-        return self.bottom.src_vertices
 
     @property
     def w_vertices(self):

@@ -93,14 +93,38 @@ class Ladder:
             s = scale * blk.reshape(-1, *blk.shape[2:])
             yield key, s, s
 
-    def pinned_pairs(self, zeta1: str, zeta2: str):
-        """``(key, s1, s2)`` with the bonds of anchor zeta1 and of anchor
-        zeta2 (same endpoints): the terms of the pinned transport."""
-        x, y = self.anchors.source(zeta1), self.anchors.range(zeta1)
-        i1, i2 = (self.anchors.edges_between(x, y).index(z) for z in (zeta1, zeta2))
-        for key, blk in self.blocks.items():
-            if key[0][0] == x and key[1][0] == y:
-                yield key, blk[i1], blk[i2]
+    def add_pinned_transport(self, zeta1: str, zeta2: str, stacks: dict, row,
+                             out: np.ndarray) -> np.ndarray:
+        """Add row grid ``row`` of the transport pinned on anchors zeta1 and
+        zeta2 (both x -> y) to ``out``, and return it.
+
+        ``stacks[(x, u)]`` holds n fields on the grid (x, u) as (n, P, P),
+        and ``out`` is (n, Q, Q) on ``row`` = (y, v).  The transport acts in
+        Kraus form, ``F -> sum_b L[zeta1, b]^T F conj(L[zeta2, b])`` over the
+        bonds b of each block into ``row``, batched into one product a side;
+        a product holds at most the larger of ``out`` and one field's.
+        """
+        left = self.anchors
+        x, y = left.source(zeta1), left.range(zeta1)
+        if left.source(zeta2) != x or left.range(zeta2) != y:
+            raise ConnectionError("boundary edges must share both endpoints")
+        i1, i2 = (left.edges_between(x, y).index(z) for z in (zeta1, zeta2))
+        n = len(out)
+        for (col, r), blk in self.blocks.items():
+            if r != row or col[0] != x:
+                continue
+            _, nb, p, q = blk.shape
+            lt = blk[i1].reshape(nb * p, q)
+            rt = np.conj(blk[i2]).transpose(1, 0, 2).reshape(p, nb * q)
+            # fields in chunks whose products are no larger than ``out``
+            step = max(1, n * q // (nb * p))
+            for a in range(0, n, step):
+                m = min(step, n - a)
+                # (m, p1, b, q2) -> (m, q2, b, p1): the bonds and p1 are summed next
+                t = (stacks[col][a:a + m].reshape(m * p, p) @ rt).reshape(m, p, nb, q)
+                t = t.transpose(0, 3, 2, 1).reshape(m * q, nb * p)
+                out[a:a + m] += (t @ lt).reshape(m, q, q).transpose(0, 2, 1)
+        return out
 
     def pinned_defect(self, counts: dict[tuple[str, str], int]) -> tuple[float, float]:
         """Squared Frobenius norms of the pinned transports minus delta times
@@ -201,8 +225,7 @@ class LadderEngine:
         return state
 
 
-def paired_string_operator(pairs, basis, col_vertex: str | None = None,
-                           row_vertex: str | None = None) -> np.ndarray:
+def paired_string_operator(pairs, basis) -> np.ndarray:
     """Quadratic assembly of paired ladder stacks on a string basis.
 
     ``pairs`` yields ``(((x, u), (y, v)), u1, u2)`` as :class:`Ladder` hands
@@ -211,19 +234,14 @@ def paired_string_operator(pairs, basis, col_vertex: str | None = None,
 
         M[(q1, q2), (p1, p2)] = sum_s u1[s, p1, q1] * conj(u2[s, p2, q2])
 
-    with rows running over strings based at ``row_vertex`` and columns over
-    strings based at ``col_vertex`` (all base vertices when omitted).  Each
-    pair is one matrix product over the stack axis.
+    on the whole string basis.  Each pair is one matrix product over the
+    stack axis.
     """
-    rows = slice(0, basis.dim) if row_vertex is None else basis.block_slices[row_vertex]
-    cols = slice(0, basis.dim) if col_vertex is None else basis.block_slices[col_vertex]
-    out = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for (ki, ko), u1, u2 in pairs:
-        if col_vertex not in (None, ki[0]) or row_vertex not in (None, ko[0]):
-            continue
         m, np_, nq = u1.shape
-        r0 = int(basis.grids[ko].flat[0]) - rows.start
-        c0 = int(basis.grids[ki].flat[0]) - cols.start
+        r0 = int(basis.grids[ko].flat[0])
+        c0 = int(basis.grids[ki].flat[0])
         # (q1, p1, s) @ (s, q2, p2): the stack axis is the inner dimension
         prod = (u1.transpose(2, 1, 0).reshape(nq * np_, m)
                 @ np.conj(u2).transpose(0, 2, 1).reshape(m, nq * np_))

@@ -4,6 +4,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Default bi-unitarity threshold: ``check_biunitarity``, ``validate_square``
@@ -15,6 +17,10 @@ RANK_EPS = 1e-8
 # pushes rounding noise to ~1e-15 * lambda_max, above the square of the
 # nominal 1e-8 cut, so the cut is widened and a spectral gap is asserted.
 GRAM_EPS = 1e-6
+# The stacked null space leaves out of its Gram terms whose squared Frobenius
+# norms sum to at most this, which lowers each eigenvalue by at most a quarter
+# of the smallest squared cut; when all are left out, every value is null.
+FROBENIUS_SKIP_SQ = (GRAM_EPS / 2) ** 2
 # Every kept singular value must exceed the cut by this factor.
 GAP_FACTOR = 50
 # A float trace of an idempotent certifies its integer rank only when it lies
@@ -74,3 +80,35 @@ def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],
     if len(nonzero) and float(nonzero.min()) < GAP_FACTOR * cut:
         raise error(f"{prefix} (min nonzero {nonzero.min():.3e}, cut {cut:.3e})")
     return null, evecs, smax
+
+
+def stacked_null_space(n: int, stacks, vectors: bool, error: type[Exception],
+                       prefix: str) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """``gram_null_space`` of the system stacked from ``stacks`` on n unknowns.
+
+    Row j of each stack is the image of unknown j under one group of
+    equations, and the Gram sums ``conj(c) c^T``, in real products, over the
+    stacks not left out under ``FROBENIUS_SKIP_SQ``.  When all are left out
+    no Gram is formed: the mask is all true, the vectors are the identity,
+    and their Frobenius norm, which bounds sigma_max, is returned for it.
+    """
+    left_out, gram = 0.0, None
+    for c in stacks:
+        c2 = float(np.vdot(c, c).real)
+        if left_out + c2 <= FROBENIUS_SKIP_SQ:
+            left_out += c2
+        else:
+            if gram is None:
+                gram = np.zeros((n, n), dtype=complex)
+            c = np.ascontiguousarray(c.reshape(n, -1))
+            # the real part is one symmetric product of the interleaved parts
+            s = c.view(np.float64)
+            gram.real += s @ s.T
+            m = c.real @ c.imag.T
+            gram.imag += m - m.T
+            del s, m
+        del c       # the next stack is formed without this one
+    if gram is None:
+        return (np.ones(n, dtype=bool), np.eye(n, dtype=complex) if vectors else None,
+                math.sqrt(left_out))
+    return gram_null_space(gram, vectors, error, prefix)

@@ -20,15 +20,14 @@ import numpy as np
 
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
-from .ladders import Ladder, LadderEngine, PathSet, grid_counts, paired_string_operator
-from .nullspace import EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, gram_null_space
+from .ladders import LadderEngine, PathSet, grid_counts
+from .nullspace import EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, stacked_null_space
 
 # Dense arrays a command may hold at once must fit in half of physical memory
 DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 __all__ = [
     "TraceData",
-    "transport_T",
     "FlatFieldResult",
     "flat_fields",
     "jones_projection",
@@ -62,17 +61,11 @@ class TraceData:
             raise ValueError(f"weights are not normalized: sum mu^2 = {s0:.12g}, w = {w:.12g}")
         inv_gamma_k = gamma1 ** (-basis.k)
         self.diag_mask = basis.p1_idx == basis.p2_idx
-        self.local_weight = np.empty(basis.dim)
-        # the st-2 inner product is diagonal: local weight times mu_base^2 / w
+        # the st-2 inner product is diagonal: the local weight
+        # gamma1^{-k} mu_end / mu_base times mu_base^2 / w
         self.gram = np.empty(basis.dim)
         for (x, v), grid in basis.grids.items():
-            self.local_weight[grid] = inv_gamma_k * mu[v] / mu[x]
             self.gram[grid] = inv_gamma_k * mu[v] * mu[x] / w
-
-    def trace_at(self, x: str, field: Field) -> complex:
-        sl = self.basis.block_slices[x]
-        m = self.diag_mask[sl]
-        return complex(np.sum(field.vec[sl][m] * self.local_weight[sl][m]))
 
     def trace(self, field: Field) -> complex:
         return complex(np.sum(field.vec[self.diag_mask] * self.gram[self.diag_mask]))
@@ -82,26 +75,6 @@ class TraceData:
 
     def norm_st2(self, field: Field) -> float:
         return math.sqrt(max(float(np.sum(np.abs(field.vec) ** 2 * self.gram)), 0.0))
-
-
-# -- transports ---------------------------------------------------------------
-
-
-def transport_T(ladder: Ladder, zeta1: str, zeta2: str, basis: StringBasis) -> np.ndarray:
-    """The two-boundary ladder operator with bonds zeta1 and zeta2 pinned.
-
-    Both bonds must be anchors of the half ladder with the same endpoints
-    x -> y; the returning half of the ladder is the mirrored, conjugated copy
-    pinned on zeta2, and the far bond is summed.  Returns the
-    (dim B_k(y), dim B_k(x)) matrix from strings at x to strings at y.
-    Summing the diagonal over the bonds of one endpoint pair recovers the
-    string-side summand operator block.
-    """
-    left = ladder.anchors
-    if left.source(zeta1) != left.source(zeta2) or left.range(zeta1) != left.range(zeta2):
-        raise ConnectionError("boundary edges must share both endpoints")
-    return paired_string_operator(ladder.pinned_pairs(zeta1, zeta2), basis,
-                                  col_vertex=left.source(zeta1), row_vertex=left.range(zeta1))
 
 
 # -- flat fields --------------------------------------------------------------
@@ -174,11 +147,15 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     graph must therefore reach every base vertex from ``*``; otherwise
     ConnectionError is raised.
 
+    Each ``R_x`` is held as per-grid stacks ``(n0, P, P)`` that the
+    transports act on in Kraus form, and ``C`` as one stack per row grid for
+    ``stacked_null_space``, so no transport matrix is formed.
+
     Returns the dimension and, on request, an st-2 orthonormal basis of
     flat fields, rebuilt blockwise as ``R_x v``.  When every constraint
     vanishes identically the whole string space is flat and no system is
-    formed.  ValueError is raised before the half ladder, the transports or
-    the shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
+    formed.  ValueError is raised before the half ladder, the stacks or the
+    shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
     """
     eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
     counts = grid_counts(g, k)
@@ -200,40 +177,50 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     by_pair: dict[tuple[str, str], list[str]] = {}
     for e, s, r in lad.anchors.edges:
         by_pair.setdefault((s, r), []).append(e)
-    dims: dict[str, int] = {}       # dim B_k(x) per base vertex
-    for (x, _), c in counts.items():
-        dims[x] = dims.get(x, 0) + c * c
+    rows: dict[str, list] = {}      # the grids (x, u) per base vertex x
+    for key in counts:
+        rows.setdefault(key[0], []).append(key)
+    dims = {x: sum(counts[key] ** 2 for key in keys) for x, keys in rows.items()}
     root = min(dims, key=lambda x: (dims[x], x))
     n0 = dims[root]
-    check_budget(16 * (max(dims.get(x, 0) * dims.get(y, 0) for x, y in by_pair)
-                       + n0 * sum(dims.values())), what, "its transports and reach matrices")
+    # the reach stacks, the Gram twice, and a constraint's row grid with three
+    # Kraus temporaries, each at most that or one field's product with a block
+    grid = max(n0 * max(counts.values()) ** 2, max(blk[0].size for blk in lad.blocks.values()))
+    check_budget(16 * (n0 * (sum(dims.values()) + 2 * n0) + 4 * grid), what,
+                 "its reach stacks, constraints and Gram")
     basis = StringBasis(w_conn.top, k, pathset)
-    slices = basis.block_slices
-    reach = {root: np.eye(n0, dtype=complex)}
+    # per grid (x, u): the stack (n0, P, P) of R_x on it
+    eye, start = np.eye(n0, dtype=complex), basis.block_slices[root].start
+    reach = {key: eye[:, basis.grids[key].ravel() - start].reshape(n0, counts[key], -1)
+             for key in rows[root]}
     tree = _vertical_tree(by_pair, root, basis.base_vertices)
-    for x, y, zeta in tree:
-        t = transport_T(lad, zeta, zeta, basis)
-        reach[y] = t @ reach[x]
+    for _, y, zeta in tree:
+        for row in rows[y]:
+            reach[row] = lad.add_pinned_transport(
+                zeta, zeta, reach, row, np.zeros((n0, counts[row], counts[row]), dtype=complex))
     tree_edges = {zeta for _, _, zeta in tree}
-    gram = np.zeros((n0, n0), dtype=complex)
-    for (x, y), edges in sorted(by_pair.items()):
-        for z1 in edges:
-            for z2 in edges:
-                if z1 == z2 and z1 in tree_edges:
-                    continue  # T R_x - R_y is exactly zero: R_y was set to T R_x
-                c = transport_T(lad, z1, z2, basis) @ reach[x]
-                if z1 == z2:
-                    c -= reach[y]
-                gram += c.conj().T @ c
-    null, evecs, _ = gram_null_space(gram, return_basis, RuntimeError,
-                                     "flatness system has no clean spectral gap")
+
+    def constraints():
+        for (_, y), edges in sorted(by_pair.items()):
+            for z1 in edges:
+                for z2 in edges:
+                    # T R_x - R_y is exactly zero on a tree edge: R_y was set to T R_x
+                    if z1 == z2 and z1 in tree_edges:
+                        continue
+                    for row in rows[y]:
+                        yield lad.add_pinned_transport(
+                            z1, z2, reach, row,
+                            -reach[row] if z1 == z2 else np.zeros_like(reach[row]))
+
+    null, evecs, _ = stacked_null_space(n0, constraints(), return_basis, RuntimeError,
+                                        "flatness system has no clean spectral gap")
     dim = int(np.count_nonzero(null))
     vecs = None
     if return_basis and dim:
         v0 = evecs[:, null]
         v = np.zeros((basis.dim, dim), dtype=complex)
-        for x, r in reach.items():
-            v[slices[x]] = r @ v0
+        for key, r in reach.items():
+            v[basis.grids[key].ravel()] = r.reshape(n0, -1).T @ v0
         g = _st2_gram(basis, w_conn, k)
         gm = (v.conj().T * g[None, :]) @ v
         ev, eu = np.linalg.eigh(gm)

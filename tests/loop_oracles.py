@@ -1,5 +1,8 @@
 """Brute-force loop-space oracles: the rotation and the ring of 4-tensors.
 
+``loop_index`` and ``string_index`` find a loop or a string in its basis by
+search, which only the oracles and the tests need.
+
 ``shift2`` rotates every loop by one cell; ``four_tensor`` and
 ``ring_contract`` rebuild a summand operator on the loop basis from the
 connection's cells directly, without any half ladder, as an independent
@@ -14,12 +17,27 @@ import numpy as np
 from biunitary import renormalize
 
 
+def loop_index(basis) -> dict:
+    """The position of every loop of a loop basis."""
+    return {loop: i for i, loop in enumerate(basis.loops)}
+
+
+def string_index(basis, p1: tuple[str, ...], p2: tuple[str, ...]) -> int:
+    """The position of the string (p1, p2) in a string basis."""
+    i, j = basis.pathset.index[basis.k][p1], basis.pathset.index[basis.k][p2]
+    hits = np.nonzero((basis.p1_idx == i) & (basis.p2_idx == j))[0]
+    if len(hits) != 1:
+        raise KeyError((p1, p2))
+    return int(hits[0])
+
+
 def shift2(basis) -> np.ndarray:
     """Cyclic rotation of every loop by one cell (two edge positions)."""
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    index = loop_index(basis)
     for i, loop in enumerate(basis.loops):
         shifted = loop[2:] + loop[:2]
-        mat[basis.index_of(shifted), i] = 1.0
+        mat[index[shifted], i] = 1.0
     return mat
 
 
@@ -56,6 +74,7 @@ def ring_contract(tensor: dict, k: int, basis) -> np.ndarray:
     for (l, bots, r, tops), v in tensor.items():
         by_tops.setdefault(tops, []).append((l, bots, r, v))
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    index = loop_index(basis)
     for i, loop in enumerate(basis.loops):
         tops = [tuple(loop[2 * j:2 * j + 2]) for j in range(k)]
         # partial[(first bond, current bond)][bottom tuple] = amplitude
@@ -79,9 +98,6 @@ def ring_contract(tensor: dict, k: int, basis) -> np.ndarray:
             if l0 != r0:
                 continue
             for bots, amp in amps.items():
-                try:
-                    o = basis.index_of(bots)
-                except KeyError:
-                    continue
-                mat[o, i] += amp
+                if bots in index:
+                    mat[index[bots], i] += amp
     return mat

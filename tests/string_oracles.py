@@ -1,6 +1,7 @@
 """Loop implementations of string-algebra operations, kept as oracles.
 
-The two-level string elements once multiplied, took adjoints and traced
+The per-vertex trace reads the diagonal of one base-vertex block.  The
+two-level string elements once multiplied, took adjoints and traced
 pair by pair over ``Bratteli2.pairs``, and the Temperley-Lieb span was
 found by re-ranking the whole trial set every round.  The library now uses
 the blockwise ``Field`` algebra and one growing st-2 orthonormal list; these
@@ -13,6 +14,13 @@ import numpy as np
 
 from biunitary import Field, TraceData, jones_projection
 from biunitary.nullspace import ST2_RANK_EPS
+
+
+def trace_at(basis, mu, gamma1: float, x: str, field) -> complex:
+    """The trace of the string algebra at base vertex x: the matrix units
+    (p, p) weighed gamma1^{-k} mu_end / mu_x."""
+    return complex(sum(np.trace(field.vec[grid]) * gamma1 ** (-basis.k) * mu[v] / mu[x]
+                       for (b, v), grid in basis.grids.items() if b == x))
 
 
 def pair_product(d, a: np.ndarray, b: np.ndarray) -> np.ndarray:

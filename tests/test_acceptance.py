@@ -23,7 +23,6 @@ from biunitary import (
     pmpo_P,
     pmpo_P_tilde,
     sector_statistics,
-    transport_T,
 )
 from biunitary.bratteli import (
     StringElement2,
@@ -35,6 +34,7 @@ from biunitary.cli import main as cli_main
 from conftest import ALL_BUILDERS, make_builder
 from loop_oracles import shift2
 from test_bratteli import random_diagram, random_trace
+from transport_oracle import transport_T
 
 THEOREM_KS = (1, 2, 3, 4)
 
@@ -205,7 +205,7 @@ def test_criterion_07_flatness_relations(systems, bases_for):
                             transports[(x, y, z1, z2)] = transport_T(lad, z1, z2, sb)
                 for f in fields:
                     for (x, y, z1, z2), tm in transports.items():
-                        got = tm @ f.block(x)
+                        got = tm @ f.vec[sb.block_slices[x]]
                         want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                         worst_t = max(worst_t, float(np.max(np.abs(got - want))))
                     for i_x, x in enumerate(v0):

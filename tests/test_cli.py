@@ -225,14 +225,15 @@ def half_ladder_bytes(conn, k):
     return 16 * sum(eng.block_entries(grid_counts(conn.top, j), j) for j in (k - 1, k))
 
 
-def transport_bytes(conn, k):
-    """The flat solve's largest transport and its reach matrices."""
+def stack_bytes(conn, k):
+    """The flat solve's reach stacks, its Gram twice, and four row grids of a
+    constraint (one row grid and the Kraus temporaries), all on n0 fields."""
+    counts = grid_counts(conn.top, k)
     dims = {}
-    for (x, _), n in grid_counts(conn.top, k).items():
+    for (x, _), n in counts.items():
         dims[x] = dims.get(x, 0) + n * n
     n0 = min(dims.values())
-    pairs = {(s, r) for _, s, r in _constraint_blocks(conn).left.edges}
-    return 16 * (max(dims[x] * dims[y] for x, y in pairs) + n0 * sum(dims.values()))
+    return 16 * n0 * (sum(dims.values()) + 2 * n0 + 4 * max(counts.values()) ** 2)
 
 
 def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
@@ -252,10 +253,10 @@ def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
 
 def test_oversized_flat_solve_stops_before_allocating():
     # D5 at k=12 has 2704 paths: its half-ladder blocks take 0.6 GiB, but its
-    # largest transport with the reach matrices would take 82073.8 GiB.  The
+    # reach stacks, Gram and constraint rows would take 57791.2 GiB.  The
     # child runs under a 2 GiB address-space cap, so reaching any allocation
     # of that size would end in MemoryError (exit 1), not in exit 2.
-    if transport_bytes(build_dynkin("D5"), 12) <= biunitary.strings.DENSE_BUDGET_BYTES:
+    if stack_bytes(build_dynkin("D5"), 12) <= biunitary.strings.DENSE_BUDGET_BYTES:
         pytest.skip("this machine's memory budget admits the case")
     src = os.path.dirname(os.path.dirname(os.path.abspath(biunitary.cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
@@ -268,7 +269,9 @@ def test_oversized_flat_solve_stops_before_allocating():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 82073.8 GiB")
+    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 57791.2 GiB "
+                                  "for its reach stacks, constraints and Gram")
+    assert 57791.2 * 2**30 <= stack_bytes(build_dynkin("D5"), 12) < 57791.3 * 2**30
 
 
 @pytest.mark.parametrize("command", ["relcomm", "verify-theorem"])
@@ -283,15 +286,16 @@ def test_flat_preflight_lists_no_path(capsys, command):
 
 
 def test_flat_transports_over_budget_stop_before_the_basis(capsys, monkeypatch):
-    # D5 at k=8: a few MiB of ladder blocks, 4.4 GiB of transports
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 4 << 30)
+    # D5 at k=8: a few MiB of ladder blocks, 3.1 GiB of reach stacks and the rest
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 2 << 30)
     monkeypatch.setattr(biunitary.strings, "StringBasis", None)
     code, out, err = run(capsys, "relcomm", "--builtin", "dynkin D5", "-k", "8")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: flat solve at k=8 on 232 paths needs 4.4 GiB "
-                          "for its transports and reach matrices")
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 3.1 GiB "
+                          "for its reach stacks, constraints and Gram")
+    assert 3.1 * 2**30 <= stack_bytes(build_dynkin("D5"), 8) < 3.2 * 2**30
 
 
 def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
@@ -314,8 +318,8 @@ def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
 
 
 def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
-    # D5 at k=8 needs 4.4 GiB of transports: its solve runs before any other
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 4 << 30)
+    # D5 at k=8 needs 3.1 GiB of stacks: its solve runs before any other
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 2 << 30)
     solved = []
     solve = biunitary.cli.flat_fields
 
@@ -328,7 +332,7 @@ def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: flat solve at k=8 on 232 paths needs 4.4 GiB")
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 3.1 GiB")
     assert solved == [8]
 
 

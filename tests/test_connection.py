@@ -40,6 +40,31 @@ def scale_one_value(conn: Connection, factor: float) -> Connection:
                       values, gamma=conn.gamma, base=conn.base, name=conn.name + "#")
 
 
+class TestGamma:
+    @pytest.mark.parametrize("gamma", [(0.0, 0.0), (1.5, -1.0), (math.nan, 2.0), (math.inf, 2.0),
+                                       (2.0,), (2.0, 2.0, 2.0), (1j, 2.0), "ab", 2.0])
+    def test_gamma_must_be_a_pair_of_positive_finite_numbers(self, gamma):
+        c = build_dynkin("A3")
+        with pytest.raises(ConnectionError,
+                           match=r"^gamma = .* is not a pair of positive finite numbers$"):
+            Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values,
+                       gamma=gamma, base=c.base)
+
+    def test_zero_gamma_stops_before_the_flat_solve(self):
+        # it once reached the st-2 weights of flat_fields as a ZeroDivisionError
+        c = build_dynkin("A3")
+        with pytest.raises(ConnectionError):
+            Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values,
+                       gamma=(0.0, 0.0), base=c.base)
+
+    def test_derived_connections_carry_no_gamma(self):
+        c = build_dynkin("A3")
+        d = Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values)
+        assert d.gamma is None
+        assert vertical_product(c, renormalize(c, "bar")).gamma is None
+        assert renormalize(c, "prime").gamma == c.gamma
+
+
 class TestValues:
     def test_a3_cell_with_matching_corners(self):
         c = build_dynkin("A3")

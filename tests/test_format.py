@@ -112,6 +112,9 @@ def _a3_with(field, value):
     (lambda: _a3_with("mu", "-1"), "weight mu['0:1'] = -1.0 is not positive and finite"),
     (lambda: _a3_with("gamma", ["0", "0"]),
      "field 'gamma' = [0.0, 0.0] is not positive and finite"),
+    (lambda: _a3_with("gamma", ["inf", "2"]),
+     "field 'gamma' = [inf, 2.0] is not positive and finite"),
+    (lambda: _a3_with("gamma", ["2"]), "missing or invalid field 'gamma' (IndexError: "),
     (lambda: _a3_with("base", "0:9"),
      "field 'base' = '0:9' is not a source vertex of the top graph"),
 ])

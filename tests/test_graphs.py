@@ -11,14 +11,14 @@ from biunitary import (
     LayeredGraph,
     build_dynkin,
     build_trivial,
-    count_loops,
     count_paths,
-    enumerate_paths,
     perron_frobenius,
     reverse_graph,
     validate_square,
 )
 from biunitary.graphs import alternating
+
+from path_oracles import count_loops, enumerate_paths
 
 
 def path_graph(n: int, name: str = "A") -> LayeredGraph:

@@ -13,6 +13,7 @@ from biunitary.strings import _constraint_blocks
 
 from conftest import ALL_BUILDERS
 from dense_ladder import dense_half_ladder, dense_slice
+from transport_oracle import paired_vertex_operator, pinned_pairs
 
 
 def per_term_paired_operator(u1, u2, basis, col_vertex=None, row_vertex=None):
@@ -118,13 +119,13 @@ class TestStackedContraction:
         sl = basis.block_slices
         for y in basis.base_vertices:
             for x in basis.base_vertices:
-                got = paired_string_operator(lad.pairs(), basis, col_vertex=x, row_vertex=y)
+                got = paired_vertex_operator(lad.pairs(), basis, col_vertex=x, row_vertex=y)
                 assert np.max(np.abs(got - want[sl[y], sl[x]])) < 1e-12
         # two different stacks: the bonds of two anchors with equal endpoints
         anchors = [e for e, _, _ in wt.left.edges]
         for z1, x, y in wt.left.edges:
             for z2 in wt.left.edges_between(x, y):
-                got = paired_string_operator(lad.pinned_pairs(z1, z2), basis,
+                got = paired_vertex_operator(pinned_pairs(lad, z1, z2), basis,
                                              col_vertex=x, row_vertex=y)
                 ref = per_term_paired_operator(dense[anchors.index(z1)], dense[anchors.index(z2)],
                                                basis, col_vertex=x, row_vertex=y)

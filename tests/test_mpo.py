@@ -16,7 +16,7 @@ from biunitary import (
 
 from conftest import ALL_BUILDERS
 from dense_ladder import dense_half_ladder
-from loop_oracles import four_tensor, ring_contract, shift2
+from loop_oracles import four_tensor, loop_index, ring_contract, shift2
 
 
 class TestSummandOperators:
@@ -165,7 +165,7 @@ class TestShift:
 class TestPhi:
     def test_a3_fold_factor(self, systems, bases_for):
         sb, lb = bases_for("dynkin:A3", 1)
-        i = lb.index_of(("G:1-2", "G:1-2"))
+        i = loop_index(lb)[("G:1-2", "G:1-2")]
         mu = systems("dynkin:A3").wn.mu
         assert abs(lb.fold_factor[i] - (mu["0:1"] / mu["3:2"]) ** 0.5) < 1e-12
         assert abs(lb.fold_factor[i] - 2 ** -0.25) < 1e-12

@@ -13,7 +13,7 @@ from biunitary import (
     vertical_product,
 )
 from biunitary.cli import main
-from biunitary.nullspace import GRAM_EPS, gram_null_space
+from biunitary.nullspace import FROBENIUS_SKIP_SQ, GRAM_EPS, gram_null_space, stacked_null_space
 
 
 def gram_of_rank(n, rank, seed=0):
@@ -67,6 +67,71 @@ class TestGramNullSpace:
                 gram_null_space(gram, vectors, error, prefix)
             assert type(info.value) is error
             assert str(info.value).startswith(f"{prefix} (min nonzero 1.000e-05, cut 1.000e-06)")
+
+
+def stacks_with_norm(n, rank, norm2, parts=3, seed=0):
+    """``parts`` random (n, 5) stacks of common rank ``rank`` whose squared
+    Frobenius norms sum to ``norm2``, and the Gram of all of them."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    stacks = [a @ (rng.standard_normal((rank, 5)) + 1j * rng.standard_normal((rank, 5)))
+              for _ in range(parts)]
+    scale = np.sqrt(norm2 / sum(float(np.vdot(c, c).real) for c in stacks))
+    stacks = [scale * c for c in stacks]
+    return stacks, sum(np.conj(c) @ c.T for c in stacks)
+
+
+class TestStackedNullSpace:
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+    def test_skip_threshold_agrees_with_the_gram(self, factor):
+        # just below the threshold nothing is formed; just above, a Gram is
+        for vectors in (False, True):
+            stacks, gram = stacks_with_norm(6, 2, factor * FROBENIUS_SKIP_SQ)
+            want, _, _ = gram_null_space(gram, vectors, RuntimeError, "test")
+            null, evecs, bound = stacked_null_space(6, iter(stacks), vectors, RuntimeError, "test")
+            assert np.count_nonzero(null) == np.count_nonzero(want) == 6
+            if factor < 1:
+                assert abs(bound ** 2 - factor * FROBENIUS_SKIP_SQ) < 1e-9 * FROBENIUS_SKIP_SQ
+                assert evecs is None if not vectors else np.array_equal(evecs, np.eye(6))
+
+    @pytest.mark.parametrize("sigma", [0.4, 0.5, 0.6, 0.99, 1.01, 10.0, 60.0])
+    def test_decision_matches_the_gram_across_the_cut(self, sigma):
+        # one singular value sigma * GRAM_EPS: null up to the cut, a gap
+        # failure up to 50 times it, kept above
+        c = np.zeros((3, 4), dtype=complex)
+        c[0, 0] = sigma * GRAM_EPS
+        try:
+            want = np.count_nonzero(gram_null_space(np.conj(c) @ c.T, False, RuntimeError, "t")[0])
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="^t "):
+                stacked_null_space(3, [c], False, RuntimeError, "t")
+        else:
+            null, _, _ = stacked_null_space(3, [c], False, RuntimeError, "t")
+            assert np.count_nonzero(null) == want == (3 if sigma < 1 else 2)
+
+    def test_skip_holds_at_the_largest_singular_value(self):
+        # one singular value carries the whole norm: sigma = GRAM_EPS / 2
+        c = np.zeros((4, 3), dtype=complex)
+        c[1, 0] = GRAM_EPS / 2
+        null, _, bound = stacked_null_space(4, [c], False, RuntimeError, "test")
+        want, _, _ = gram_null_space(np.conj(c) @ c.T, False, RuntimeError, "test")
+        assert null.all() and want.all() and bound == GRAM_EPS / 2
+
+    @pytest.mark.parametrize("n,rank", [(8, 5), (6, 6), (4, 1)])
+    def test_full_rank_terms_match_the_gram(self, n, rank):
+        stacks, gram = stacks_with_norm(n, rank, 10.0, seed=n)
+        stacks = [1e-20 * stacks[0]] + stacks
+        want, _, smax = gram_null_space(gram, True, RuntimeError, "test")
+        null, evecs, got_smax = stacked_null_space(n, stacks, True, RuntimeError, "test")
+        assert np.array_equal(null, want) and np.count_nonzero(null) == n - rank
+        assert abs(got_smax - smax) < 1e-12 * smax
+        for c in stacks:
+            assert np.max(np.abs(c.T @ evecs[:, null]), initial=0.0) < 1e-9
+
+    def test_gap_failure_raises_through_the_stack(self):
+        c = np.diag([10 * GRAM_EPS, 1.0]).astype(complex)
+        with pytest.raises(RuntimeError, match="^test"):
+            stacked_null_space(2, [c], False, RuntimeError, "test")
 
 
 class TestCallersOnGapFailure:

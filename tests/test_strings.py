@@ -3,22 +3,25 @@
 import numpy as np
 import pytest
 
+import biunitary.nullspace
 from biunitary import (
     Field,
     LadderEngine,
     TraceData,
-    count_loops,
     flat_fields,
     mpo_O_tilde,
     pmpo_P_tilde,
-    transport_T,
 )
 from biunitary import ConnectionError, StringBasis, renormalize, vertical_product
 from biunitary.graphs import alternating
 from biunitary.ladders import grid_counts
-from biunitary.strings import _st2_gram, _vertical_tree
+from biunitary.strings import _constraint_blocks, _st2_gram, _vertical_tree
 
 from conftest import ALL_BUILDERS
+from loop_oracles import string_index
+from path_oracles import count_loops
+from string_oracles import trace_at
+from transport_oracle import stacks_of, transport_T
 
 
 def edges_by_pair(conn):
@@ -84,17 +87,17 @@ class TestTrace:
         s = systems("dynkin:A3")
         sb, _ = bases_for("dynkin:A3", 1)
         f = Field(sb)
-        f.vec[sb.index_of(("G:1-2",), ("G:1-2",))] = 1.0
+        f.vec[string_index(sb, ("G:1-2",), ("G:1-2",))] = 1.0
         tr = TraceData(sb, s.wn.mu, s.wn.gamma[0], s.fd.w)
-        assert abs(tr.trace_at("0:1", f) - 1.0) < 1e-12
+        assert abs(trace_at(sb, s.wn.mu, s.wn.gamma[0], "0:1", f) - 1.0) < 1e-12
 
     def test_trivial_diagonal_unit(self, systems, bases_for):
         s = systems("trivial:2")
         sb, _ = bases_for("trivial:2", 1)
         f = Field(sb)
-        f.vec[sb.index_of(("G:0",), ("G:0",))] = 1.0
+        f.vec[string_index(sb, ("G:0",), ("G:0",))] = 1.0
         tr = TraceData(sb, s.wn.mu, s.wn.gamma[0], s.fd.w)
-        assert abs(tr.trace_at("0:x", f) - 0.5) < 1e-12
+        assert abs(trace_at(sb, s.wn.mu, s.wn.gamma[0], "0:x", f) - 0.5) < 1e-12
 
     def test_unnormalized_weights_rejected(self, systems, bases_for):
         s = systems("dynkin:A3")
@@ -146,8 +149,32 @@ class TestTransports:
         pairs = edges_by_pair(rep)
         (z1,), (z2,) = (pairs[p] for p in sorted(pairs)[:2])
         lad = LadderEngine(rep).half_ladder(sb.pathset, 1)
+        x = rep.left.source(z1)
+        stacks = stacks_of(sb, x, np.ones((1, sb.block_slices[x].stop - sb.block_slices[x].start)))
+        row = next(key for key in sb.grids if key[0] == rep.left.range(z1))
+        with pytest.raises(ConnectionError, match="^boundary edges must share both endpoints$"):
+            lad.add_pinned_transport(z1, z2, stacks, row, np.zeros((1, 1, 1), dtype=complex))
         with pytest.raises(ConnectionError, match="^boundary edges must share both endpoints$"):
             transport_T(lad, z1, z2, sb)
+
+    @pytest.mark.parametrize("name,k", [("dynkin:D5", 4), ("dynkin:E6", 3), ("cyclic:3", 3)])
+    def test_stack_transport_matches_dense(self, systems, name, k):
+        # every pinned pair of the flat system, on random fields at x
+        wt = _constraint_blocks(systems(name).wn)
+        sb = StringBasis(wt.top, k)
+        lad = LadderEngine(wt).half_ladder(sb.pathset, k)
+        rng = np.random.default_rng(7)
+        for (x, y), edges in edges_by_pair(wt).items():
+            shape = (3, sb.block_slices[x].stop - sb.block_slices[x].start)
+            f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stacks = stacks_of(sb, x, f)
+            for z1 in edges:
+                for z2 in edges:
+                    want = stacks_of(sb, y, (transport_T(lad, z1, z2, sb) @ f.T).T)
+                    for row, w in want.items():
+                        start = rng.standard_normal(w.shape) + 0j
+                        got = lad.add_pinned_transport(z1, z2, stacks, row, start.copy())
+                        assert np.max(np.abs(got - start - w)) < 1e-12
 
     @pytest.mark.parametrize("name", ["trivial:2", "dynkin:A3", "dynkin:A4", "cyclic:3"])
     def test_diagonal_transport_sum_recovers_operator(self, systems, bases_for, name):
@@ -205,14 +232,54 @@ class TestFlatFields:
                 for (x, y), edges in edges_by_pair(wt2).items():
                     for z1 in edges:
                         for z2 in edges:
-                            got = transport_T(lad, z1, z2, sb) @ f.block(x)
+                            got = transport_T(lad, z1, z2, sb) @ f.vec[sb.block_slices[x]]
                             want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                             assert np.max(np.abs(got - want)) < 1e-10
 
 
+def root_block(conn, k):
+    """dim B_k(*) of the flat solve's root: the smallest base-vertex block."""
+    dims = {}
+    for (x, _), n in grid_counts(conn.top, k).items():
+        dims[x] = dims.get(x, 0) + n * n
+    return min(dims.values())
+
+
+class TestFrobeniusSkip:
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls = []
+        solve = biunitary.nullspace.gram_null_space
+
+        def counted(gram, *args):
+            calls.append(len(gram))
+            return solve(gram, *args)
+
+        monkeypatch.setattr(biunitary.nullspace, "gram_null_space", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", [b for b in ALL_BUILDERS
+                                      if b != "dynkin:D5" and not b.startswith("trivial")])
+    def test_fires_on_flat_builders(self, systems, gram_calls, name):
+        wn = systems(name).wn
+        for k in (1, 2, 3, 4):
+            res = flat_fields(wn, k, return_basis=k <= 2)
+            assert not res.exact
+            assert res.dimension == root_block(wn, k)
+        assert gram_calls == []
+
+    @pytest.mark.parametrize("name", ["dynkin:D5", "dynkin:E7"])
+    def test_does_not_fire_below_the_root_block(self, systems, gram_calls, name):
+        wn = systems(name).wn
+        for k in (3, 4):
+            assert flat_fields(wn, k, return_basis=False).dimension < root_block(wn, k)
+        assert gram_calls == [root_block(wn, 3), root_block(wn, 4)]
+
+
 class TestVertexBlockSolve:
     ORACLE_CASES = ([(name, k) for name in ALL_BUILDERS for k in (1, 2, 3, 4)]
-                    + [("dynkin:D5", 5), ("dynkin:E6", 5), ("dynkin:A7", 5)])
+                    + [("dynkin:D5", 5), ("dynkin:D5", 6), ("dynkin:E6", 5), ("dynkin:A7", 5),
+                       ("dynkin:E7", 5)])
 
     @pytest.mark.parametrize("name,k", ORACLE_CASES)
     def test_matches_dense_oracle(self, systems, name, k):
@@ -282,7 +349,7 @@ class TestProofRelations:
                     for (x, y), edges in edges_by_pair(rep).items():
                         for z1 in edges:
                             for z2 in edges:
-                                got = transport_T(lad, z1, z2, sb) @ f.block(x)
+                                got = transport_T(lad, z1, z2, sb) @ f.vec[sb.block_slices[x]]
                                 want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                                 assert np.max(np.abs(got - want)) < 1e-9
                     # the string operator acts by vertical multiplicities

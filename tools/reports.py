@@ -10,16 +10,25 @@ the checkout that holds this script, at seed 0 with ``--format json``:
 * ``verify-theorem -k 4``, ``relcomm -k 3 --basis``, ``pmpo -k 3``,
   ``check`` and ``stats -n 4`` on the fourteen test builders.
 
-Two checkouts give the same reports when ``diff -r`` of their output
-directories is empty.
+Usage: ``python3 tools/reports.py --compare A B``
+
+compares two such directories and exits 1 on any difference, printing one
+line per differing file.  Every file must be byte-equal, except the
+``basis`` arrays of the ``relcomm`` reports: the flat basis vectors are a
+gauge choice, so there only the projector ``V V^*`` of the rows (each row
+one st-2 orthonormal vector) must agree within ``BASIS_TOL``, and every other
+field of the report must be equal.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -31,6 +40,8 @@ BUILDERS = [
 ]
 LARGE = ["dynkin E7", "dynkin A11", "dynkin A15"]
 
+BASIS_TOL = 1e-12
+
 REPORTS = (
     [("decompose", b, []) for b in BUILDERS + LARGE]
     + [("verify-theorem", b, ["-k", "4"]) for b in BUILDERS]
@@ -41,9 +52,54 @@ REPORTS = (
 )
 
 
+def _projector(rows: list[list[str]]) -> np.ndarray:
+    v = np.array([[complex(z) for z in row] for row in rows], dtype=complex)
+    return v.T @ v.conj()
+
+
+def _difference(name: str, a: bytes, b: bytes) -> str | None:
+    """Why two reports of one name differ, or None when they agree."""
+    if a == b:
+        return None
+    if not (name.startswith("relcomm-") and name.endswith(".stdout")):
+        return "bytes differ"
+    try:
+        da, db = json.loads(a), json.loads(b)
+    except ValueError:
+        return "bytes differ"
+    va, vb = da.pop("basis", None), db.pop("basis", None)
+    if va is None or vb is None:
+        return "bytes differ"
+    if json.dumps(da) != json.dumps(db):
+        return "fields other than the basis differ"
+    pa, pb = _projector(va), _projector(vb)
+    if pa.shape != pb.shape:
+        return f"basis projectors have shapes {pa.shape} and {pb.shape}"
+    gap = float(np.max(np.abs(pa - pb), initial=0.0))
+    return None if gap <= BASIS_TOL else f"basis projectors differ by {gap:.3e}"
+
+
+def compare(a: pathlib.Path, b: pathlib.Path) -> int:
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    bad = 0
+    for name in names:
+        pa, pb = a / name, b / name
+        if not (pa.is_file() and pb.is_file()):
+            why = f"only in {a if pa.is_file() else b}"
+        else:
+            why = _difference(name, pa.read_bytes(), pb.read_bytes())
+        if why is not None:
+            print(f"{name}: {why}")
+            bad += 1
+    print(f"{len(names) - bad} of {len(names)} files agree")
+    return 1 if bad else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/reports.py OUTDIR", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(pathlib.Path(argv[1]), pathlib.Path(argv[2]))
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python3 tools/reports.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     out = pathlib.Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
