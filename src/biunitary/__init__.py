@@ -44,7 +44,6 @@ from .decomp import (
     DecompositionError,
     DepthExceededError,
     FusionData,
-    IntertwinerFamily,
     SectorStatistics,
     compress,
     decompose,

@@ -29,10 +29,10 @@ from .nullspace import (
     ADJOINT_CLOSURE_EPS,
     BIUNITARITY_FLOOR,
     CLUSTER_GAP_EPS,
+    DEFAULT_TOL,
     HOM_RESIDUAL_EPS,
     IDEMPOTENCY_EPS,
     MINIMALITY_RANK_EPS,
-    RANK_EPS,
     SPAN_EPS,
     gram_null_space,
 )
@@ -40,7 +40,6 @@ from .nullspace import (
 __all__ = [
     "DecompositionError",
     "DepthExceededError",
-    "IntertwinerFamily",
     "hom_space",
     "end_minimal_projections",
     "compress",
@@ -60,44 +59,17 @@ class DepthExceededError(RuntimeError):
     """Closure of the label set did not terminate within max_depth."""
 
 
-# -- intertwiner families ----------------------------------------------------
-
-
-@dataclass
-class IntertwinerFamily:
-    """Per-vertex-pair matrices from src vertical edges to dst vertical edges.
-
-    Keys are ("L", x, z) for pairs on the x layer and ("R", y, w) for pairs
-    on the y layer; the block shape is (dst edge count, src edge count).
-    """
-
-    blocks: dict[tuple, np.ndarray]
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.blocks[k].reshape(-1) for k in sorted(self.blocks)]) \
-            if self.blocks else np.zeros(0, dtype=complex)
-
-    def adjoint(self) -> "IntertwinerFamily":
-        """Slot-wise conjugate transpose.
-
-        The weight-ratio twisted adjoint coincides with this one: within a
-        block all vertical edges share the same endpoints, so the diagonal
-        twist is a scalar and cancels.
-        """
-        return IntertwinerFamily({k: b.conj().T for k, b in self.blocks.items()})
-
-
-def _stack(fams: list[IntertwinerFamily]) -> np.ndarray:
-    """The ``(len(fams), n_var)`` stack of flattened families."""
-    return np.array([f.flatten() for f in fams])
+# -- intertwiner spaces -----------------------------------------------------
 
 
 class _HomProblem:
     """Index bookkeeping for the linear system defining Hom(src, dst).
 
-    A family is held flat, its blocks row-major in ``keys`` order, which is
-    the order of :meth:`IntertwinerFamily.flatten`; a space of families is
-    the ``(m, n_var)`` stack of its flat vectors.
+    An intertwiner family is one matrix per vertex pair, from src vertical
+    edges to dst vertical edges: keys ("L", x, z) for pairs on the x layer
+    and ("R", y, w) on the y layer, block shape (dst edge count, src edge
+    count).  A family is held flat, its blocks row-major in ``keys`` order;
+    a space of families is the ``(m, n_var)`` stack of its flat vectors.
     """
 
     def __init__(self, src: Connection, dst: Connection):
@@ -130,8 +102,15 @@ class _HomProblem:
         o = self.offsets[key]
         return flat[..., o:o + d * s].reshape(*flat.shape[:-1], d, s)
 
-    def unflatten(self, vec: np.ndarray) -> IntertwinerFamily:
-        return IntertwinerFamily({k: self.block(vec, k) for k in self.keys})
+    def adjoint(self, stack: np.ndarray) -> np.ndarray:
+        """The slot-wise conjugate transpose of every family of an End stack.
+
+        The weight-ratio twisted adjoint coincides with this one: within a
+        block all vertical edges share the same endpoints, so the diagonal
+        twist is a scalar and cancels.
+        """
+        return np.concatenate([self.block(stack, k).conj().swapaxes(-1, -2)
+                               .reshape(len(stack), -1) for k in self.keys], axis=-1)
 
     def constraint_pairs(self):
         """Per (top edge, bottom edge): the two cell matrices and slot keys."""
@@ -165,8 +144,8 @@ def _gram_block(gram: np.ndarray, prob: _HomProblem, k1: tuple, k2: tuple) -> np
     return gram[o1:o1 + d1 * s1, o2:o2 + d2 * s2].reshape(d1, s1, d2, s2)
 
 
-def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
-    """Orthonormal basis of intertwiner families from `src` to `dst`.
+def _hom_kernel(prob: _HomProblem) -> np.ndarray:
+    """The ``(m, n_var)`` stack of an orthonormal basis of the hom space.
 
     Solves, for every top edge t: x->y and bottom edge b: z->w,
 
@@ -176,10 +155,7 @@ def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
     The basis is orthonormal in the entrywise inner product and its order is
     fixed by the eigensolver, so results are reproducible.
     """
-    prob = _HomProblem(src, dst)
     n = prob.n_var
-    if n == 0:
-        return []
     # Per constraint pair the system rows are (A (x) I) vec T_L - (I (x) B^T) vec T_R.
     # The squares A^H A (x) I and I (x) conj(B) B^T are summed per slot key and
     # placed once; the cross terms -A^H (x) B^T are added per pair.
@@ -212,7 +188,13 @@ def hom_space(src: Connection, dst: Connection) -> list[IntertwinerFamily]:
     r = prob.residual(kern)
     if r > HOM_RESIDUAL_EPS * max(1.0, smax):
         raise DecompositionError(f"kernel vector violates intertwining ({r:.3e})")
-    return [prob.unflatten(v) for v in kern]
+    return kern
+
+
+def hom_space(src: Connection, dst: Connection) -> list[np.ndarray]:
+    """Orthonormal basis of the intertwiner families from `src` to `dst`:
+    the rows of :func:`_hom_kernel`, flat in :class:`_HomProblem` order."""
+    return list(_hom_kernel(_HomProblem(src, dst)))
 
 
 # -- endomorphism splitting --------------------------------------------------
@@ -223,27 +205,22 @@ def _span_distance(kern: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vecs - (vecs @ kern.conj().T) @ kern, axis=-1)
 
 
-def adjoint_closure_defect(basis: list[IntertwinerFamily]) -> float:
-    """How far the span of an orthonormal basis is from being adjoint-closed."""
-    return float(np.max(_span_distance(_stack(basis), _stack([f.adjoint() for f in basis]))))
-
-
-def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFamily]:
-    """Pairwise-orthogonal minimal projections summing to one in End(c).
+def end_minimal_projections(c: Connection, seed: int = 0) -> list[dict[tuple, np.ndarray]]:
+    """Pairwise-orthogonal minimal projections summing to one in End(c),
+    each as its ``{key: block}`` dict in :class:`_HomProblem` keys.
 
     Certifies that End(c) is closed under the slot-wise adjoint, draws a
     seeded random self-adjoint element, splits its spectrum globally across
     the vertex-pair blocks, and verifies each spectral projection is minimal.
     Reseeds on spectral collisions; raises after eight failures.
     """
-    basis = hom_space(c, c)
-    if not basis:
+    prob = _HomProblem(c, c)
+    kern = _hom_kernel(prob)
+    if not len(kern):
         raise DecompositionError("endomorphism algebra is empty")
-    defect = adjoint_closure_defect(basis)
+    defect = float(np.max(_span_distance(kern, prob.adjoint(kern))))
     if defect > ADJOINT_CLOSURE_EPS:
         raise DecompositionError(f"End(c) not closed under the adjoint (defect {defect:.3e})")
-    prob = _HomProblem(c, c)
-    kern = _stack(basis)
 
     for attempt in range(8):
         rng = np.random.default_rng(seed + attempt)
@@ -282,7 +259,7 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[IntertwinerFam
                                for b, k in zip(ps, prob.keys)], axis=-1)
         cut = MINIMALITY_RANK_EPS * np.maximum(1.0, np.abs(span).max(axis=(1, 2)))
         if np.all(np.linalg.matrix_rank(span, tol=cut) == 1):
-            return [prob.unflatten(p) for p in projs]
+            return [{k: prob.block(p, k) for k in prob.keys} for p in projs]
     raise DecompositionError("spectral-gap failure after 8 reseeds")
 
 
@@ -295,19 +272,18 @@ def _phase_fix(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def compress(c: Connection, p: IntertwinerFamily, tol: float = RANK_EPS) -> Connection:
-    """The summand of `c` cut out by a self-adjoint projection in End(c).
+def compress(c: Connection, p: dict[tuple, np.ndarray], tol: float = DEFAULT_TOL) -> Connection:
+    """The summand of `c` cut out by a self-adjoint projection in End(c),
+    given as its ``{key: block}`` dict in :class:`_HomProblem` keys.
 
     Chooses isometries v with v v* = p per vertex pair and conjugates every
-    cell matrix; the output must pass the bi-unitarity check, which is
-    enforced, since summands of bi-unitary connections are bi-unitary.
+    cell matrix; the output must pass the bi-unitarity check at
+    ``max(tol, BIUNITARITY_FLOOR)``, which is enforced, since summands of
+    bi-unitary connections are bi-unitary.
     """
     isometries: dict[tuple, np.ndarray] = {}
     ranks: dict[tuple, int] = {}
-    for k, blk in p.blocks.items():
-        if blk.size == 0:
-            ranks[k] = 0
-            continue
+    for k, blk in p.items():
         evals, evecs = np.linalg.eigh(blk)
         keep = evals > 0.5
         r = int(np.count_nonzero(keep))
@@ -354,7 +330,7 @@ def compress(c: Connection, p: IntertwinerFamily, tol: float = RANK_EPS) -> Conn
     return out
 
 
-def decompose(c: Connection, seed: int = 0, tol: float = RANK_EPS) -> list[Connection]:
+def decompose(c: Connection, seed: int = 0, tol: float = DEFAULT_TOL) -> list[Connection]:
     """All irreducible summands of `c`, one per minimal projection."""
     return [compress(c, p, tol) for p in end_minimal_projections(c, seed)]
 
@@ -428,27 +404,6 @@ def _pf_dimension(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m.astype(float)))))
 
 
-def _int_inverse(a: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """``(d, D)`` with ``D = d a^{-1}`` for a nonsingular square integer matrix.
-
-    Fraction-free Gauss-Jordan elimination in Python ints: every division is
-    exact, and ``d`` is the determinant of ``a`` up to sign.
-    """
-    n = len(a)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        piv = next(i for i in range(k, n) if rows[i][k])
-        rows[k], rows[piv] = rows[piv], rows[k]
-        pk = rows[k]
-        for i in range(n):
-            if i != k:
-                ri, f = rows[i], rows[i][k]
-                rows[i] = [(pk[k] * x - f * y) // prev for x, y in zip(ri, pk)]
-        prev = pk[k]
-    return prev, [r[n:] for r in rows]
-
-
 class _MultiplicitySolver:
     """Exact nonnegative integer solutions of ``sum_c N_c M_c = target``.
 
@@ -456,18 +411,19 @@ class _MultiplicitySolver:
     reduced once by fraction-free elimination in Python ints.  A label whose
     vector is independent of the earlier labels' is a pivot; the others are
     ``free``, and their multiplicities must be supplied (by a hom count).
-    The pivot multiplicities then follow by Cramer's rule on a nonsingular
-    square block of rows, and every solution is certified against the full
-    identity in int64.
+    The pivot vectors restricted to the pivot rows of the echelon form a
+    nonsingular square block, so given the free counts the solution, if
+    any, is unique: the pivot multiplicities are read off a float solve on
+    that block, rounded, and an integer vector that satisfies the full
+    identity exactly in int64 is that solution.
     """
 
     def __init__(self, ms: list[np.ndarray]):
-        self.stack = np.array(ms, dtype=np.int64)
-        self.cols = self.stack.reshape(len(ms), -1).tolist()
+        self.cols = np.array(ms, dtype=np.int64).reshape(len(ms), -1)
         echelon: list[tuple[int, list[int]]] = []  # (pivot row, reduced vector)
         self.pivots: list[int] = []
         self.free: list[int] = []
-        for j, col in enumerate(self.cols):
+        for j, col in enumerate(self.cols.tolist()):
             v = col
             for p, e in echelon:
                 if v[p]:
@@ -480,29 +436,29 @@ class _MultiplicitySolver:
                 echelon.append((row, [x // g for x in v]))
                 self.pivots.append(j)
         self.rows = [p for p, _ in echelon]
-        self.det, self.inv = _int_inverse([[self.cols[j][i] for j in self.pivots]
-                                           for i in self.rows])
+        self.block = self.cols[np.ix_(self.pivots, self.rows)].T.astype(float)
 
     def solve(self, target: np.ndarray, free_counts: dict[int, int], what: str) -> list[int]:
         """The multiplicities given those of the free labels; raises
         :class:`DecompositionError` unless they are nonnegative integers
         satisfying the identity exactly."""
-        n = [0] * len(self.cols)
-        t = target.reshape(-1).tolist()
+        n = np.zeros(len(self.cols), dtype=np.int64)
         for c, count in free_counts.items():
             n[c] = count
-            t = [x - count * y for x, y in zip(t, self.cols[c])]
-        tr = [t[i] for i in self.rows]
-        exact = True
-        for c, inv_row in zip(self.pivots, self.inv):
-            n[c], rem = divmod(sum(x * y for x, y in zip(inv_row, tr)), self.det)
-            exact = exact and rem == 0
-        total = np.tensordot(np.array(n, dtype=np.int64), self.stack, axes=1)
-        if not exact or min(n) < 0 or not np.array_equal(total, target):
-            raise DecompositionError(
-                f"multiplicities in {what} are not a nonnegative integer solution "
-                "of the multiplicity-matrix identity")
-        return n
+        rest = target.reshape(-1) - n @ self.cols
+        try:
+            x = np.linalg.solve(self.block, rest[self.rows].astype(float))
+        except np.linalg.LinAlgError:
+            x = None
+        # a nonnegative solution has no pivot entry above the sum of the target
+        # (a pivot M_c is a nonzero count matrix); this also fails on nan and inf
+        if x is not None and np.all(np.abs(x) <= target.sum() + 1):
+            n[self.pivots] = np.rint(x)
+            if n.min() >= 0 and np.array_equal(n @ self.cols, target.reshape(-1)):
+                return n.tolist()
+        raise DecompositionError(
+            f"multiplicities in {what} are not a nonnegative integer solution "
+            "of the multiplicity-matrix identity")
 
 
 def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection], wt: Connection):
@@ -531,7 +487,7 @@ def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection], wt: 
 
 
 def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0,
-                          tol: float = RANK_EPS):
+                          tol: float = DEFAULT_TOL):
     """Close the set of irreducible connections under multiplication by W W-bar.
 
     Returns ``(fusion_data, reps, w_normalized)`` where reps maps canonical

@@ -39,8 +39,6 @@ class PathSet:
         cur = [((), v) for v in starts]
         self.paths: list[list[tuple[str, ...]]] = [[p for p, _ in cur]]
         self.ends: list[list[str]] = [[v for _, v in cur]]
-        # length-0 paths are all the empty tuple: key them by start vertex
-        self.index: list[dict] = [{v: i for i, (_, v) in enumerate(cur)}]
         self.extensions: list[dict[tuple[str, str], np.ndarray]] = [{}]
         for j in range(1, max_len + 1):
             traverse = g if j % 2 == 1 else rev
@@ -51,7 +49,6 @@ class PathSet:
             nxt.sort(key=lambda pv: (self._start_of(pv[0]), pv[0]))
             self.paths.append([p for p, _ in nxt])
             self.ends.append([v for _, v in nxt])
-            self.index.append({p: i for i, (p, _) in enumerate(nxt)})
             counts: dict[tuple[str, str], int] = {}
             ext: dict[tuple[str, str], list[int]] = {}
             for p, v in nxt:
@@ -87,11 +84,10 @@ class Ladder:
         return sum(blk.nbytes for blk in self.blocks.values())
 
     def pairs(self, scale: float = 1.0):
-        """``(key, s, s)`` per block, s scaled with every (anchor, bond) pair
-        on its stack axis: the terms of scale^2 times the summand operator."""
+        """``(key, s)`` per block, s scaled with every (anchor, bond) pair on
+        its stack axis: the terms of scale^2 times the summand operator."""
         for key, blk in self.blocks.items():
-            s = scale * blk.reshape(-1, *blk.shape[2:])
-            yield key, s, s
+            yield key, scale * blk.reshape(-1, *blk.shape[2:])
 
     def add_pinned_transport(self, zeta1: str, zeta2: str, stacks: dict, row,
                              out: np.ndarray) -> np.ndarray:
@@ -226,25 +222,26 @@ class LadderEngine:
 
 
 def paired_string_operator(pairs, basis) -> np.ndarray:
-    """Quadratic assembly of paired ladder stacks on a string basis.
+    """Quadratic assembly of ladder stacks, each paired with itself, on a
+    string basis.
 
-    ``pairs`` yields ``(((x, u), (y, v)), u1, u2)`` as :class:`Ladder` hands
-    them out: two stacks of shape ``(m, |P(x -> u)|, |P(y -> v)|)``.  The
-    result sums over the stack axis,
+    ``pairs`` yields ``(((x, u), (y, v)), u)`` as :class:`Ladder` hands them
+    out: a stack of shape ``(m, |P(x -> u)|, |P(y -> v)|)``.  The result sums
+    over the stack axis,
 
-        M[(q1, q2), (p1, p2)] = sum_s u1[s, p1, q1] * conj(u2[s, p2, q2])
+        M[(q1, q2), (p1, p2)] = sum_s u[s, p1, q1] * conj(u[s, p2, q2])
 
     on the whole string basis.  Each pair is one matrix product over the
     stack axis.
     """
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for (ki, ko), u1, u2 in pairs:
-        m, np_, nq = u1.shape
+    for (ki, ko), u in pairs:
+        m, np_, nq = u.shape
         r0 = int(basis.grids[ko].flat[0])
         c0 = int(basis.grids[ki].flat[0])
         # (q1, p1, s) @ (s, q2, p2): the stack axis is the inner dimension
-        prod = (u1.transpose(2, 1, 0).reshape(nq * np_, m)
-                @ np.conj(u2).transpose(0, 2, 1).reshape(m, nq * np_))
+        prod = (u.transpose(2, 1, 0).reshape(nq * np_, m)
+                @ np.conj(u).transpose(0, 2, 1).reshape(m, nq * np_))
         # splitting both axes of an output block keeps it a view
         dst = out[r0:r0 + nq * nq, c0:c0 + np_ * np_].reshape(nq, nq, np_, np_)
         dst += prod.reshape(nq, np_, nq, np_).transpose(0, 2, 1, 3)

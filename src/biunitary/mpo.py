@@ -122,8 +122,8 @@ def operator_rank(op, tol: float = RANK_EPS) -> int:
     """Number of singular values above tol * max(1, sigma_max).
 
     Exactly diagonal matrices read their singular values off the diagonal
-    and Hermitian ones use their eigenvalues; both shortcuts are exact, not
-    approximations.
+    and square Hermitian ones use their eigenvalues; both shortcuts are
+    exact, not approximations.
     """
     a = op.matrix if isinstance(op, MPOOperator) else np.asarray(op)
     if a.size == 0:
@@ -131,7 +131,8 @@ def operator_rank(op, tol: float = RANK_EPS) -> int:
     d = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(d):
         sigma = np.abs(d)
-    elif np.max(np.abs(a - a.conj().T)) <= 1e-13 * max(1.0, float(np.max(np.abs(a)))):
+    elif (a.shape[0] == a.shape[1]
+          and np.max(np.abs(a - a.conj().T)) <= 1e-13 * max(1.0, float(np.max(np.abs(a))))):
         sigma = np.abs(np.linalg.eigvalsh(a))
     else:
         sigma = np.linalg.svd(a, compute_uv=False)

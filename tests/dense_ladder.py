@@ -17,11 +17,13 @@ def _global_extensions(pathset, j):
     """Per edge e: the length-(j-1) parents and the length-j children of
     every extension by e, as global indices into the path lists."""
     g = pathset.graph
+    # length-0 paths are all the empty tuple: key them by start vertex
+    parents = ({v: i for i, v in enumerate(pathset.ends[0])} if j == 1
+               else {p: i for i, p in enumerate(pathset.paths[j - 1])})
     ext: dict[str, tuple[list[int], list[int]]] = {}
     for i, p in enumerate(pathset.paths[j]):
         sel, new = ext.setdefault(p[-1], ([], []))
-        parent = pathset.index[0][g.source(p[0])] if j == 1 else pathset.index[j - 1][p[:-1]]
-        sel.append(parent)
+        sel.append(parents[g.source(p[0])] if j == 1 else parents[p[:-1]])
         new.append(i)
     return {e: (np.asarray(s), np.asarray(n)) for e, (s, n) in ext.items()}
 

@@ -24,7 +24,8 @@ def loop_index(basis) -> dict:
 
 def string_index(basis, p1: tuple[str, ...], p2: tuple[str, ...]) -> int:
     """The position of the string (p1, p2) in a string basis."""
-    i, j = basis.pathset.index[basis.k][p1], basis.pathset.index[basis.k][p2]
+    index = {p: i for i, p in enumerate(basis.pathset.paths[basis.k])}
+    i, j = index[p1], index[p2]
     hits = np.nonzero((basis.p1_idx == i) & (basis.p2_idx == j))[0]
     if len(hits) != 1:
         raise KeyError((p1, p2))

@@ -23,9 +23,9 @@ from biunitary import (
     vertical_product,
 )
 from biunitary.decomp import (
-    adjoint_closure_defect,
     _HomProblem,
     _MultiplicitySolver,
+    _span_distance,
 )
 from biunitary.nullspace import HOM_RESIDUAL_EPS
 
@@ -60,15 +60,16 @@ class TestHomSpace:
         wt = wtilde(s.wn)
         basis = hom_space(wt, wt)
         assert len(basis) == 16
-        flat = np.array([b.flatten() for b in basis])
+        flat = np.array(basis)
         gram = flat.conj() @ flat.T
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
 
     def test_adjoint_closure(self, systems):
         for name in ("dynkin:A4", "cyclic:3"):
             s = systems(name)
-            basis = hom_space(wtilde(s.wn), wtilde(s.wn))
-            assert adjoint_closure_defect(basis) < 1e-10
+            wt = wtilde(s.wn)
+            kern = np.array(hom_space(wt, wt))
+            assert np.max(_span_distance(kern, _HomProblem(wt, wt).adjoint(kern))) < 1e-10
 
     def test_kernel_vectors_are_checked_against_the_equations(self, monkeypatch):
         # a Gram cut above every singular value declares non-solutions null
@@ -80,7 +81,7 @@ class TestHomSpace:
     def test_stacked_residual_flags_one_perturbed_kernel_vector(self, systems):
         wt = wtilde(systems("dynkin:A4").wn)
         prob = _HomProblem(wt, wt)
-        kern = np.array([f.flatten() for f in hom_space(wt, wt)])
+        kern = np.array(hom_space(wt, wt))
         assert prob.residual(kern) < HOM_RESIDUAL_EPS
         bad = kern.copy()
         bad[1] += 1e-4 * np.random.default_rng(0).standard_normal(prob.n_var)
@@ -95,7 +96,7 @@ class TestSplitting:
         ident = build_identity(c.top, c.mu)
         projs = end_minimal_projections(ident, seed=0)
         assert len(projs) == 1
-        for blk in projs[0].blocks.values():
+        for blk in projs[0].values():
             assert np.max(np.abs(blk - np.eye(blk.shape[0]))) < 1e-10
 
     def test_a3_product_splits_in_two(self, systems):
@@ -111,20 +112,25 @@ class TestSplitting:
         s = systems(name)
         projs = end_minimal_projections(wtilde(s.wn), seed=1)
         assert len(projs) == sum(s.fd.l_table[(a, 1)] for a in s.fd.labels)
-        for k, blk in projs[0].blocks.items():
-            ps = [p.blocks[k] for p in projs]
+        for k, blk in projs[0].items():
+            ps = [p[k] for p in projs]
             assert np.max(np.abs(sum(ps) - np.eye(blk.shape[0]))) < 1e-12
             for i, p in enumerate(ps):
                 for q in ps[i + 1:]:
                     assert np.max(np.abs(p @ q)) < 1e-12
                     assert np.max(np.abs(q @ p)) < 1e-12
 
+    def test_a_space_not_closed_under_the_adjoint_is_refused(self, monkeypatch, systems):
+        monkeypatch.setattr(biunitary.decomp, "ADJOINT_CLOSURE_EPS", -1.0)
+        with pytest.raises(DecompositionError, match="^End\\(c\\) not closed under the adjoint "):
+            end_minimal_projections(wtilde(systems("dynkin:A3").wn))
+
     def test_compress_identity_projection(self, systems):
         s = systems("dynkin:A3")
         wt = wtilde(s.wn)
         basis = hom_space(wt, wt)
         projs = end_minimal_projections(wt, seed=2)
-        total = {k: sum(p.blocks[k] for p in projs) for k in projs[0].blocks}
+        total = {k: sum(p[k] for p in projs) for k in projs[0]}
         for blk in total.values():
             assert np.max(np.abs(blk - np.eye(blk.shape[0]))) < 1e-9
         out = compress(wt, projs[0])
@@ -345,6 +351,33 @@ class TestIntegerFusion:
         monkeypatch.setattr(biunitary.decomp, "_fusion_tables", corrupted)
         with pytest.raises(DecompositionError, match="^no unique conjugate for a1 "):
             discover_irreducibles(build_dynkin("A4"))
+
+    def test_solve_with_a_free_count(self):
+        # the third matrix is the sum of the first two: it is the free label
+        solver = _MultiplicitySolver([np.eye(2, dtype=int), np.array([[0, 1], [1, 0]]),
+                                      np.ones((2, 2), dtype=int)])
+        assert (solver.pivots, solver.free) == ([0, 1], [2])
+        assert solver.solve(np.array([[3, 2], [2, 3]]), {2: 1}, "t") == [2, 1, 1]
+        assert solver.solve(np.array([[3, 2], [2, 3]]), {2: 2}, "t") == [1, 0, 2]
+
+    @pytest.mark.parametrize("ms,target", [
+        ([np.array([[2]])], np.array([[1]])),                          # not an integer
+        ([np.eye(2, dtype=int), np.ones((2, 2), dtype=int)],
+         np.array([[0, 1], [1, 0]])),                                   # negative
+        ([np.eye(2, dtype=int)], np.array([[1, 1], [0, 1]])),           # no solution
+    ])
+    def test_solve_refuses_what_is_no_nonnegative_integer_solution(self, ms, target):
+        with pytest.raises(DecompositionError,
+                           match="^multiplicities in t are not a nonnegative integer solution "):
+            _MultiplicitySolver(ms).solve(target, {}, "t")
+
+    @pytest.mark.parametrize("block", [np.zeros((1, 1)), np.full((1, 1), np.nan)])
+    def test_a_singular_or_non_finite_solve_is_refused(self, block):
+        solver = _MultiplicitySolver([np.array([[1]])])
+        solver.block = block
+        with pytest.raises(DecompositionError,
+                           match="^multiplicities in t are not a nonnegative integer solution "):
+            solver.solve(np.array([[1]]), {}, "t")
 
     def test_a_corrupted_multiplicity_matrix_is_refused(self, monkeypatch):
         init = _MultiplicitySolver.__init__

@@ -119,7 +119,8 @@ class TestStackedContraction:
         sl = basis.block_slices
         for y in basis.base_vertices:
             for x in basis.base_vertices:
-                got = paired_vertex_operator(lad.pairs(), basis, col_vertex=x, row_vertex=y)
+                got = paired_vertex_operator(((key, s, s) for key, s in lad.pairs()), basis,
+                                             col_vertex=x, row_vertex=y)
                 assert np.max(np.abs(got - want[sl[y], sl[x]])) < 1e-12
         # two different stacks: the bonds of two anchors with equal endpoints
         anchors = [e for e, _, _ in wt.left.edges]

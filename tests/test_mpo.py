@@ -135,6 +135,12 @@ class TestOperatorRank:
         assert operator_rank(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1
         assert operator_rank(np.diag([1.0, 0.0])) == 1
 
+    def test_rectangular(self):
+        assert operator_rank(np.ones((2, 3))) == 1
+        rng = np.random.default_rng(5)
+        assert operator_rank(rng.standard_normal((3, 5))) == 3
+        assert operator_rank(rng.standard_normal((5, 3))) == 3
+
     def test_non_hermitian_path(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
