@@ -59,7 +59,6 @@ from .graphs import (
     SquareScheme,
     count_paths,
     perron_frobenius,
-    reverse_graph,
     validate_square,
 )
 from .ladders import Ladder, LadderEngine, PathSet

@@ -124,9 +124,7 @@ def _emit(args, report: dict, table_lines: list[str]) -> None:
 
 def _fusion_payload(fd) -> dict:
     n_table = {f"{a},{b},{c}": n for (a, b, c), n in fd.n_table.items() if n}
-    l_table = {}
-    for (a, n), v in sorted(fd.l_table.items()):
-        l_table[f"{a},{n}"] = v
+    l_table = {f"{a},{n}": v for (a, n), v in sorted(fd.l_table.items())}
     return {
         "labels": list(fd.labels),
         "identity": fd.identity,

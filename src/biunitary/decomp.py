@@ -367,37 +367,25 @@ class FusionData:
         """Multiplicities L_a^n of each label in the n-th power, by fusion recursion."""
         if n < 1:
             raise ValueError("n >= 1")
-        top = max((m for (_, m) in self.l_table), default=0)
-        if top < 1:
+        if not any(m == 1 for _, m in self.l_table):
             raise ValueError("first-power multiplicities are missing")
         for m in range(2, n + 1):
             if all((a, m) in self.l_table for a in self.labels):
                 continue
-            prev = {a: self.l_table[(a, m - 1)] for a in self.labels}
-            cur = {c: 0 for c in self.labels}
-            for a in self.labels:
-                if not prev[a]:
-                    continue
-                for b in self.labels:
-                    lb = self.l_table[(b, 1)]
-                    if not lb:
-                        continue
-                    for c in self.labels:
-                        nn = self.n_table[(b, a, c)]
-                        if nn:
-                            cur[c] += prev[a] * lb * nn
-            for c in self.labels:
-                self.l_table[(c, m)] = cur[c]
+            cur = dict.fromkeys(self.labels, 0)
+            for (b, a, c), nn in self.n_table.items():
+                cur[c] += self.l_table[(a, m - 1)] * self.l_table[(b, 1)] * nn
+            self.l_table.update(((c, m), v) for c, v in cur.items())
         return {a: self.l_table[(a, n)] for a in self.labels}
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: discovery keys its first-power counts by entry
 class _ClassEntry:
-    label: str
     rep: Connection
     m: np.ndarray
     d: float
     first_n: int
+    label: str = "?"
 
 
 def _pf_dimension(m: np.ndarray) -> float:
@@ -461,14 +449,13 @@ class _MultiplicitySolver:
             "of the multiplicity-matrix identity")
 
 
-def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection], wt: Connection):
-    """``(n_table, l_table)`` by the exact multiplicity-matrix identities.
+def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection]):
+    """``n_table`` by the exact multiplicity-matrix identities.
 
     ``vertical_product(top, bottom)`` composes left edges top then bottom, so
     ``vertical_product(rep_b, rep_a)`` has left multiplicity matrix
-    ``M_b @ M_a`` and ``sum_c N_ab^c M_c = M_b M_a``; likewise
-    ``sum_a L_a^1 M_a`` is the matrix of the generating product ``wt``.
-    Products are formed and hom spaces solved only for the free labels.
+    ``M_b @ M_a`` and ``sum_c N_ab^c M_c = M_b M_a``.  Products are formed
+    and hom spaces solved only for the free labels.
     """
     solver = _MultiplicitySolver([e.m for e in classes])
     n_table: dict[tuple[str, str, str], int] = {}
@@ -481,9 +468,49 @@ def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection], wt: 
             row = solver.solve(eb.m @ ea.m, free, f"{eb.label}*{ea.label}")
             for ec, nc in zip(classes, row):
                 n_table[(ea.label, eb.label, ec.label)] = nc
-    free = {c: len(hom_space(reps[classes[c].label], wt)) for c in solver.free}
-    row = solver.solve(wt.left.adjacency(), free, "the generating product")
-    return n_table, {(e.label, 1): nc for e, nc in zip(classes, row)}
+    return n_table
+
+
+def _peel(prod: Connection, classes: list[_ClassEntry], depth: int, seed: int,
+          tol: float) -> list[int]:
+    """The multiplicity in `prod` of every class, appending the new ones.
+
+    By Schur's lemma the orthonormal rows ``T_i`` of ``Hom(c, prod)`` satisfy
+    ``T_i^* T_j = delta_ij / n_c``, ``n_c`` the vertical edge count of ``c``,
+    so ``n_c sum_i T_i T_i^*`` projects onto the copies of ``c``.  Until the
+    counts give the multiplicity matrix of `prod` exactly, the first summand
+    of the complement of the known content joins the classes as a new one.
+    """
+    end = _HomProblem(prod, prod)
+    target = prod.left.adjacency()
+    known = np.zeros(end.n_var, dtype=complex)
+    counts: list[int] = []
+    n_old = len(classes)
+    while True:
+        for entry in classes[len(counts):]:
+            prob = _HomProblem(entry.rep, prod)
+            kern = hom_space(entry.rep, prod)
+            counts.append(len(kern))
+            stack = np.reshape(kern, (len(kern), prob.n_var))
+            n_c = sum(s for _, s in prob.shapes.values())
+            for key in prob.keys:
+                t = prob.block(stack, key)
+                end.block(known, key)[...] += n_c * np.tensordot(t, t.conj(), ([0, 2], [0, 2]))
+        accounted = sum(n * e.m for n, e in zip(counts, classes))
+        if len(classes) > n_old and not counts[-1]:
+            raise DecompositionError(f"a new summand of {prod.name} peels off no content")
+        if np.any(accounted > target):
+            raise DecompositionError(f"hom counts exceed the content of {prod.name}")
+        if np.array_equal(accounted, target):
+            return counts
+        rest = {k: np.eye(end.shapes[k][0]) - end.block(known, k) for k in end.keys}
+        err = max(float(np.max(np.abs(b @ b - b))) for b in rest.values())
+        if err > IDEMPOTENCY_EPS:
+            raise DecompositionError(
+                f"complement of the known content is not a projection ({err:.3e})")
+        summand = decompose(compress(prod, rest, tol), seed=seed, tol=tol)[0]
+        sm = summand.left.adjacency()
+        classes.append(_ClassEntry(summand, sm, _pf_dimension(sm), depth))
 
 
 def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0,
@@ -496,13 +523,14 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     ``w_normalized`` is the input connection with the same rescaling.
 
     Breadth-first: each known class is multiplied by the product connection
-    and the result is peeled into known classes by multiplicity counting;
-    a full splitting runs only when unknown content remains.  Raises
-    :class:`DepthExceededError` if new classes keep appearing past
-    ``max_depth`` powers.  The fusion table and the first-power
-    multiplicities come from a certified integer solve of the
-    multiplicity-matrix identities (see :func:`_fusion_tables`), and the
-    conjugate of ``a`` is the one ``b`` with ``N_ab^1 == 1``.
+    and the result is peeled into known classes by hom counting; only the
+    unaccounted content is split, one new class at a time (see
+    :func:`_peel`).  Raises :class:`DepthExceededError` if new classes keep
+    appearing past ``max_depth`` powers.  The first-power multiplicities are
+    the counts of the first product, ``W W-bar`` itself, certified by its
+    exact multiplicity-matrix identity; the fusion table comes from a
+    certified integer solve of the identities (see :func:`_fusion_tables`),
+    and the conjugate of ``a`` is the one ``b`` with ``N_ab^1 == 1``.
     """
     birep = check_biunitarity(w_conn, max(tol, BIUNITARITY_FLOOR))
     if not birep.passed:
@@ -514,38 +542,19 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     v0 = g.src_vertices
     ident = build_identity(g, w_conn.mu)
 
-    classes: list[_ClassEntry] = [
-        _ClassEntry("?", ident, ident.left.adjacency(), 1.0, 0)]
-    frontier = [classes[0]]
-    depth = 0
-    while frontier:
+    classes = [_ClassEntry(ident, ident.left.adjacency(), 1.0, 0)]
+    depth = n_known = 0
+    while n_known < len(classes):   # the classes found at the last depth are the frontier
         depth += 1
         if depth > max_depth:
             raise DepthExceededError(
                 f"label set still growing after {max_depth} powers; "
                 "increase max_depth or check the tolerance")
-        new_frontier: list[_ClassEntry] = []
+        frontier, n_known = classes[n_known:], len(classes)
         for entry in frontier:
-            prod = vertical_product(entry.rep, wt)
-            prod_m = prod.left.adjacency()
-            accounted = np.zeros_like(prod_m)
-            for known in classes:
-                mult = len(hom_space(known.rep, prod))
-                accounted += mult * known.m
-            if np.array_equal(accounted, prod_m):
-                continue
-            for summand in decompose(prod, seed=seed, tol=tol):
-                sm = summand.left.adjacency()
-                match = None
-                for known in classes:
-                    if np.array_equal(known.m, sm) and len(hom_space(summand, known.rep)):
-                        match = known
-                        break
-                if match is None:
-                    entry_new = _ClassEntry("?", summand, sm, _pf_dimension(sm), depth)
-                    classes.append(entry_new)
-                    new_frontier.append(entry_new)
-        frontier = new_frontier
+            counts = _peel(vertical_product(entry.rep, wt), classes, depth, seed, tol)
+            if depth == 1:  # the identity's product is W W-bar itself
+                first_power = dict(zip(classes, counts))
 
     # canonical labels: dimension, then first power of appearance, then the matrix
     classes.sort(key=lambda e: (round(e.d, 9), e.first_n, tuple(e.m.reshape(-1))))
@@ -560,13 +569,13 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
 
     reps = {e.label: e.rep.with_mu({v: mu[v] for v in e.rep.mu}) for e in classes}
     w_norm = w_conn.with_mu(mu)
-    wt_norm = wt.with_mu({v: mu[v] for v in wt.mu})
 
     labels = tuple(e.label for e in classes)
     d = {e.label: e.d for e in classes}
     m_table = {e.label: e.m for e in classes}
 
-    n_table, l_table = _fusion_tables(classes, reps, wt_norm)
+    n_table = _fusion_tables(classes, reps)
+    l_table = {(e.label, 1): first_power.get(e, 0) for e in classes}
 
     conj = {}
     for a in labels:

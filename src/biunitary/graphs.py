@@ -24,7 +24,6 @@ __all__ = [
     "LayeredGraph",
     "SquareScheme",
     "SquareReport",
-    "reverse_graph",
     "perron_frobenius",
     "validate_square",
     "alternating",
@@ -162,11 +161,6 @@ class LayeredGraph:
             f"LayeredGraph({self.name!r}, {len(self.vertices)} vertices, "
             f"{self.n_edges} edges, layers {self.source_layer}->{self.range_layer})"
         )
-
-
-def reverse_graph(g: LayeredGraph, name: str | None = None) -> LayeredGraph:
-    """Reverse every edge; involutive and id-preserving."""
-    return g.reverse(name)
 
 
 # Convergence tolerance and iteration cap of the Perron-Frobenius power iteration.

@@ -271,7 +271,7 @@ class TestIntegerFusion:
             counts = [[len(c.left.edges_between(x, z)) for z in v0] for x in v0]
             assert np.array_equal(c.left.adjacency(), counts)
 
-    @pytest.mark.parametrize("name", ALL_BUILDERS + ["dynkin:E7", "dynkin:A11"])
+    @pytest.mark.parametrize("name", ALL_BUILDERS + ["dynkin:E7", "dynkin:A11", "dynkin:A15"])
     def test_tables_match_the_hom_oracle(self, systems, name):
         s = systems(name)
         n_table, l_table = hom_fusion_tables(s.fd, s.reps, s.wn)
@@ -333,8 +333,8 @@ class TestIntegerFusion:
 
     def test_rank_deficient_discovery_solves_homs_for_free_labels_only(self, monkeypatch):
         fd, solves = self.table_hom_solves(monkeypatch, build_dynkin("D5"))
-        # two free labels: one solve each per ordered pair, and one each for L^1
-        assert solves == 2 * len(fd.labels) ** 2 + 2
+        # two free labels: one solve each per ordered pair
+        assert solves == 2 * len(fd.labels) ** 2
 
     @pytest.mark.parametrize("entries", [
         {("a1", "a1", "a0"): 0},                          # no partner
@@ -345,11 +345,35 @@ class TestIntegerFusion:
         tables = biunitary.decomp._fusion_tables
 
         def corrupted(*args):
-            n_table, l_table = tables(*args)
-            return n_table | entries, l_table
+            return tables(*args) | entries
 
         monkeypatch.setattr(biunitary.decomp, "_fusion_tables", corrupted)
         with pytest.raises(DecompositionError, match="^no unique conjugate for a1 "):
+            discover_irreducibles(build_dynkin("A4"))
+
+    @pytest.mark.parametrize("name", ["D5", "E7", "A15"])
+    def test_discovery_splits_once_per_new_class(self, monkeypatch, name):
+        calls = []
+        split = biunitary.decomp.decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(biunitary.decomp, "decompose", counted)
+        fd, _, _ = discover_irreducibles(build_dynkin(name))
+        assert len(calls) == len(fd.labels) - 1
+
+    @pytest.mark.parametrize("broken,message", [
+        (lambda kern: kern[:-1], "peels off no content"),                 # lost vector
+        (lambda kern: kern + kern[-1:], "hom counts exceed the content"),  # extra copy
+        (lambda kern: [2 * t for t in kern], "is not a projection"),       # not orthonormal
+    ])
+    def test_a_faulty_hom_count_stops_the_peel(self, monkeypatch, broken, message):
+        hom = biunitary.decomp.hom_space
+        monkeypatch.setattr(biunitary.decomp, "hom_space",
+                            lambda src, dst: broken(hom(src, dst)))
+        with pytest.raises(DecompositionError, match=message):
             discover_irreducibles(build_dynkin("A4"))
 
     def test_solve_with_a_free_count(self):

@@ -13,7 +13,6 @@ from biunitary import (
     build_trivial,
     count_paths,
     perron_frobenius,
-    reverse_graph,
     validate_square,
 )
 from biunitary.graphs import alternating
@@ -71,7 +70,7 @@ def test_perron_frobenius_rejects_disconnected():
 
 def test_reverse_is_involutive_and_preserves_ids():
     g = path_graph(3)
-    rr = reverse_graph(reverse_graph(g))
+    rr = g.reverse().reverse()
     assert rr.edges == g.edges
     assert rr.source_layer == g.source_layer
 
@@ -79,7 +78,7 @@ def test_reverse_is_involutive_and_preserves_ids():
 def test_reverse_parallel_edges_keep_ids():
     g = LayeredGraph("P", [("x", 0), ("y", 1)],
                      [("e0", "x", "y"), ("e1", "x", "y")], 0, 1)
-    r = reverse_graph(g)
+    r = g.reverse()
     assert r.edges == (("e0", "y", "x"), ("e1", "y", "x"))
 
 
@@ -174,4 +173,4 @@ def small_bipartite(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_bipartite())
 def test_reverse_involution_property(g):
-    assert reverse_graph(reverse_graph(g)).edges == g.edges
+    assert g.reverse().reverse().edges == g.edges

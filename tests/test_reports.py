@@ -1,4 +1,5 @@
-"""The compare mode of ``tools/reports.py``: bytes, except relcomm bases."""
+"""The compare mode of ``tools/reports.py``: bytes, except relcomm bases; the
+fields of a differing JSON report are named."""
 
 import importlib.util
 import json
@@ -55,8 +56,25 @@ def test_every_other_difference_counts(tmp_path, capsys):
     assert lines[0] == "check-x.exit: bytes differ"
     assert lines[1].startswith("check-y.exit: only in ")
     assert lines[2].startswith("relcomm-x.stdout: basis projectors differ by 1.000e+00")
-    assert lines[3] == "relcomm-y.stdout: fields other than the basis differ"
+    assert lines[3] == "relcomm-y.stdout: flat_dimension 2 != 3"
     assert lines[4] == "0 of 4 files agree"
+
+
+def test_a_json_report_names_the_fields_that_differ(tmp_path, capsys):
+    doc = {"command": "pmpo", "idempotency_residual": "2.2759572004815709e-15", "rank": 5}
+    other = doc | {"idempotency_residual": "2.1094237467877974e-15", "rank": 6}
+    del other["command"]
+    a = write(tmp_path, "a", {"pmpo-x.stdout": json.dumps(doc, indent=1).encode(),
+                              "pmpo-y.stdout": json.dumps(doc, indent=1).encode()})
+    b = write(tmp_path, "b", {"pmpo-x.stdout": json.dumps(other, indent=1).encode(),
+                              "pmpo-y.stdout": json.dumps(doc).encode()})   # layout only
+    assert reports.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pmpo-x.stdout: command pmpo != (absent); "
+        "idempotency_residual 2.2759572004815709e-15 != 2.1094237467877974e-15; rank 5 != 6",
+        "pmpo-y.stdout: bytes differ",
+        "0 of 2 files agree",
+    ]
 
 
 def test_usage(capsys):

@@ -13,11 +13,12 @@ the checkout that holds this script, at seed 0 with ``--format json``:
 Usage: ``python3 tools/reports.py --compare A B``
 
 compares two such directories and exits 1 on any difference, printing one
-line per differing file.  Every file must be byte-equal, except the
-``basis`` arrays of the ``relcomm`` reports: the flat basis vectors are a
-gauge choice, so there only the projector ``V V^*`` of the rows (each row
-one st-2 orthonormal vector) must agree within ``BASIS_TOL``, and every other
-field of the report must be equal.
+line per differing file; for a JSON report the line names each top-level
+field that differs, with both values.  Every file must be byte-equal,
+except the ``basis`` arrays of the ``relcomm`` reports: the flat basis
+vectors are a gauge choice, so there only the projector ``V V^*`` of the
+rows (each row one st-2 orthonormal vector) must agree within
+``BASIS_TOL``, and every other field of the report must be equal.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ BUILDERS = [
 LARGE = ["dynkin E7", "dynkin A11", "dynkin A15"]
 
 BASIS_TOL = 1e-12
+SHOW_CHARS = 80          # a differing field value is cut to this many characters
+ABSENT = "(absent)"      # shown for a field that one of two reports lacks
 
 REPORTS = (
     [("decompose", b, []) for b in BUILDERS + LARGE]
@@ -57,26 +60,46 @@ def _projector(rows: list[list[str]]) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _difference(name: str, a: bytes, b: bytes) -> str | None:
-    """Why two reports of one name differ, or None when they agree."""
-    if a == b:
-        return None
-    if not (name.startswith("relcomm-") and name.endswith(".stdout")):
-        return "bytes differ"
-    try:
-        da, db = json.loads(a), json.loads(b)
-    except ValueError:
-        return "bytes differ"
-    va, vb = da.pop("basis", None), db.pop("basis", None)
-    if va is None or vb is None:
-        return "bytes differ"
-    if json.dumps(da) != json.dumps(db):
-        return "fields other than the basis differ"
+def _show(value) -> str:
+    """A field value as a report line shows it: strings bare, the rest as JSON."""
+    text = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    return text if len(text) <= SHOW_CHARS else text[:SHOW_CHARS - 3] + "..."
+
+
+def _basis_difference(va, vb) -> str | None:
     pa, pb = _projector(va), _projector(vb)
     if pa.shape != pb.shape:
         return f"basis projectors have shapes {pa.shape} and {pb.shape}"
     gap = float(np.max(np.abs(pa - pb), initial=0.0))
     return None if gap <= BASIS_TOL else f"basis projectors differ by {gap:.3e}"
+
+
+def _difference(name: str, a: bytes, b: bytes) -> str | None:
+    """Why two reports of one name differ, or None when they agree.
+
+    A JSON object report names each top-level field that differs, with both
+    values; any other difference of bytes is reported as such.
+    """
+    if a == b:
+        return None
+    try:
+        da, db = json.loads(a), json.loads(b)
+    except ValueError:
+        return "bytes differ"
+    if not (isinstance(da, dict) and isinstance(db, dict)):
+        return "bytes differ"
+    gauge = name.startswith("relcomm-") and name.endswith(".stdout")
+    why = []
+    for key in sorted(da.keys() | db.keys()):
+        va, vb = da.get(key, ABSENT), db.get(key, ABSENT)
+        if gauge and key == "basis" and ABSENT not in (va, vb):
+            why.append(_basis_difference(va, vb))
+        elif json.dumps(va) != json.dumps(vb):
+            why.append(f"{key} {_show(va)} != {_show(vb)}")
+    why = [w for w in why if w is not None]
+    if why:
+        return "; ".join(why)
+    return None if gauge else "bytes differ"
 
 
 def compare(a: pathlib.Path, b: pathlib.Path) -> int:
