@@ -508,7 +508,8 @@ def _peel(prod: Connection, classes: list[_ClassEntry], depth: int, seed: int,
         if err > IDEMPOTENCY_EPS:
             raise DecompositionError(
                 f"complement of the known content is not a projection ({err:.3e})")
-        summand = decompose(compress(prod, rest, tol), seed=seed, tol=tol)[0]
+        rest_conn = compress(prod, rest, tol)
+        summand = compress(rest_conn, end_minimal_projections(rest_conn, seed)[0], tol)
         sm = summand.left.adjacency()
         classes.append(_ClassEntry(summand, sm, _pf_dimension(sm), depth))
 

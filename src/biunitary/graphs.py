@@ -163,45 +163,24 @@ class LayeredGraph:
         )
 
 
-# Convergence tolerance and iteration cap of the Perron-Frobenius power iteration.
-PF_TOL = 1e-14
-PF_MAX_ITER = 100_000
-
-
 def perron_frobenius(g: LayeredGraph, base: str | None = None) -> tuple[float, dict[str, float]]:
     """Perron-Frobenius eigenvalue and positive two-sided eigenvector of a graph.
 
     Returns ``(lam, weights)`` with ``sum_x A[x,y] w[x] = lam * w[y]`` and
     ``sum_y A[x,y] w[y] = lam * w[x]``.  The scale is fixed by
     ``weights[base] = 1`` when `base` is a vertex of `g`, otherwise by
-    max-entry 1.  Power iteration on A A^T; raises on disconnected input or
-    when the iteration cap is hit.
+    max-entry 1.  One symmetric eigensolve of A A^T, whose top eigenvalue
+    ``lam**2`` is simple on a connected graph between two layers; raises on
+    empty or disconnected input.
     """
     if not g.vertices or g.n_edges == 0:
         raise GraphError("empty graph")
     if not g.is_connected():
         raise GraphError(f"graph {g.name!r} is disconnected")
     a = g.adjacency().astype(float)
-    m = a @ a.T
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    lam2 = 0.0
-    for _ in range(PF_MAX_ITER):
-        w = m @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise GraphError("degenerate adjacency: power iteration collapsed")
-        w /= nw
-        lam2_new = float(w @ (m @ w))
-        if (abs(lam2_new - lam2) <= PF_TOL * max(lam2_new, 1.0)
-                and np.max(np.abs(w - v)) <= 10 * PF_TOL):
-            v = w
-            lam2 = lam2_new
-            break
-        v = w
-        lam2 = lam2_new
-    else:
-        raise GraphError("Perron-Frobenius iteration did not converge (degenerate input?)")
-    lam = float(np.sqrt(lam2))
+    evals, evecs = np.linalg.eigh(a @ a.T)
+    lam = float(np.sqrt(evals[-1]))
+    v = np.abs(evecs[:, -1])
     u = (a.T @ v) / lam
     weights = {}
     for x, i in zip(g.src_vertices, range(len(v))):

@@ -18,7 +18,7 @@ import numpy as np
 from .bases import LoopBasis, StringBasis
 from .connection import Connection
 from .ladders import LadderEngine, paired_string_operator
-from .nullspace import RANK_EPS
+from .nullspace import HERMITIAN_EPS, RANK_EPS
 
 __all__ = [
     "MPOOperator",
@@ -132,7 +132,7 @@ def operator_rank(op, tol: float = RANK_EPS) -> int:
     if np.count_nonzero(a) == np.count_nonzero(d):
         sigma = np.abs(d)
     elif (a.shape[0] == a.shape[1]
-          and np.max(np.abs(a - a.conj().T)) <= 1e-13 * max(1.0, float(np.max(np.abs(a))))):
+          and np.max(np.abs(a - a.conj().T)) <= HERMITIAN_EPS * max(1.0, float(np.max(np.abs(a))))):
         sigma = np.abs(np.linalg.eigvalsh(a))
     else:
         sigma = np.linalg.svd(a, compute_uv=False)

@@ -13,6 +13,9 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 # Singular-value cut of operator ranks, relative to max(1, sigma_max).
 RANK_EPS = 1e-8
+# A square operator is ranked by its eigenvalues when it is Hermitian to this,
+# relative to max(1, its largest entry).
+HERMITIAN_EPS = 1e-13
 # Effective singular-value cut used on Gram spectra: squaring the system
 # pushes rounding noise to ~1e-15 * lambda_max, above the square of the
 # nominal 1e-8 cut, so the cut is widened and a spectral gap is asserted.

@@ -21,6 +21,7 @@ from biunitary import (
     hom_space,
     horizontal_product,
     renormalize,
+    validate_square,
     vertical_product,
 )
 
@@ -246,10 +247,14 @@ class TestBuilders:
         assert abs(c.gamma[0] - gamma) < 1e-10
         assert abs(c.gamma[1] - gamma) < 1e-10
 
-    @pytest.mark.parametrize("name", ["A3", "A4", "A5", "A6", "A7", "D4", "D5",
-                                      "E6", "E7", "E8"])
+    @pytest.mark.parametrize("name", ["A3", "A4", "A5", "A6", "A7", "A11", "A15", "D4",
+                                      "D5", "D6", "D7", "D8", "E6", "E7", "E8"])
     def test_dynkin_biunitary(self, name):
-        assert check_biunitarity(build_dynkin(name), 1e-10).passed
+        # exact Perron-Frobenius weights make every Dynkin builder bi-unitary to rounding
+        c = build_dynkin(name)
+        rep = check_biunitarity(c, 1e-10)
+        assert rep.passed and rep.max_residual < 1e-14
+        assert validate_square(c.scheme()).max_residual < 1e-14
 
     def test_dynkin_unknown_raises(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from biunitary.decomp import (
 )
 from biunitary.nullspace import HOM_RESIDUAL_EPS
 
-from conftest import ALL_BUILDERS
+from conftest import ALL_BUILDERS, make_builder
 from fusion_oracle import hom_conjugates, hom_fusion_tables
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -354,15 +354,29 @@ class TestIntegerFusion:
     @pytest.mark.parametrize("name", ["D5", "E7", "A15"])
     def test_discovery_splits_once_per_new_class(self, monkeypatch, name):
         calls = []
-        split = biunitary.decomp.decompose
+        split = biunitary.decomp.end_minimal_projections
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return split(*args, **kwargs)
 
-        monkeypatch.setattr(biunitary.decomp, "decompose", counted)
+        monkeypatch.setattr(biunitary.decomp, "end_minimal_projections", counted)
         fd, _, _ = discover_irreducibles(build_dynkin(name))
         assert len(calls) == len(fd.labels) - 1
+
+    @pytest.mark.parametrize("name", ["cyclic:5", "dynkin:E7", "dynkin:D5"])
+    def test_discovery_compresses_only_the_summands_it_keeps(self, monkeypatch, name):
+        # one compression onto the complement and one onto its first summand per new class
+        calls = []
+        compress = biunitary.decomp.compress
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(biunitary.decomp, "compress", counted)
+        fd, _, _ = discover_irreducibles(make_builder(name))
+        assert len(calls) == 2 * (len(fd.labels) - 1)
 
     @pytest.mark.parametrize("broken,message", [
         (lambda kern: kern[:-1], "peels off no content"),                 # lost vector

@@ -30,13 +30,15 @@ def path_graph(n: int, name: str = "A") -> LayeredGraph:
     return LayeredGraph(name, verts, edges, 0, 1)
 
 
-def test_perron_frobenius_a3():
-    g = path_graph(3)
+@pytest.mark.parametrize("n", [3, 4, 6, 11, 15])
+def test_perron_frobenius_a3(n):
+    # closed form on A_n: lam = 2 cos(pi/(n+1)), w_j = sin(j pi/(n+1)) / sin(pi/(n+1))
+    g = path_graph(n)
     lam, w = perron_frobenius(g, base="1")
-    assert abs(lam - math.sqrt(2)) < 1e-12
-    assert abs(w["1"] - 1) < 1e-12
-    assert abs(w["2"] - math.sqrt(2)) < 1e-12
-    assert abs(w["3"] - 1) < 1e-12
+    assert abs(lam - 2 * math.cos(math.pi / (n + 1))) < 1e-15
+    for j in range(1, n + 1):
+        want = math.sin(j * math.pi / (n + 1)) / math.sin(math.pi / (n + 1))
+        assert abs(w[str(j)] - want) < 1e-14 * want
 
 
 def test_perron_frobenius_parallel_edges():

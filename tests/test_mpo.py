@@ -89,7 +89,7 @@ class TestProjectorTrace:
         rank = operator_rank(pmpo_P(s.fd, s.reps, 5, lb))
         assert abs(projector_trace(s.fd, s.reps, 5) - rank) <= 1e-9
 
-    @pytest.mark.parametrize("name", ["dynkin:E6", "dynkin:D5"])
+    @pytest.mark.parametrize("name", ["dynkin:E6", "dynkin:D5", "dynkin:A15"])
     @pytest.mark.parametrize("k", [2, 4, 6, 10])
     def test_matches_even_k_fusion_closed_form(self, systems, name, k):
         s = systems(name)

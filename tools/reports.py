@@ -6,9 +6,10 @@ For each report this writes ``OUTDIR/<name>.stdout``, ``.stderr`` and
 ``.exit`` (the exit code), running ``biunitary`` from the ``src`` tree of
 the checkout that holds this script, at seed 0 with ``--format json``:
 
-* ``decompose`` on the fourteen test builders plus E7, A11 and A15;
-* ``verify-theorem -k 4``, ``relcomm -k 3 --basis``, ``pmpo -k 3``,
-  ``check`` and ``stats -n 4`` on the fourteen test builders.
+* ``decompose`` and ``check`` on the fourteen test builders plus E7, A11
+  and A15;
+* ``verify-theorem -k 4``, ``relcomm -k 3 --basis``, ``pmpo -k 3`` and
+  ``stats -n 4`` on the fourteen test builders.
 
 Usage: ``python3 tools/reports.py --compare A B``
 
@@ -50,7 +51,7 @@ REPORTS = (
     + [("verify-theorem", b, ["-k", "4"]) for b in BUILDERS]
     + [("relcomm", b, ["-k", "3", "--basis"]) for b in BUILDERS]
     + [("pmpo", b, ["-k", "3"]) for b in BUILDERS]
-    + [("check", b, []) for b in BUILDERS]
+    + [("check", b, []) for b in BUILDERS + LARGE]
     + [("stats", b, ["-n", "4"]) for b in BUILDERS]
 )
 
