@@ -18,10 +18,11 @@ arrays it holds would exceed half of physical memory.  ``relcomm`` and
 ``verify-theorem`` exit 2 under the same budget before a flat solve whose
 half-ladder blocks or stacks would exceed it; ``verify-theorem`` solves
 its largest k first, so an oversized k is refused before any other solve.
-A JSON report formats every entry of the ``pmpo --dump`` matrix and the
-``relcomm --basis`` vectors as a string, ``FORMATTED_ENTRY_BYTES`` each
-against the same budget (exit 2 before formatting); a table report prints
-neither, so it formats neither.
+A JSON report writes the ``pmpo --dump`` matrix and the ``relcomm --basis``
+vectors row by row, each entry as the string ``"a+bj"`` or ``"a-bj"`` with
+both parts to 17 significant digits; ``FORMATTED_ENTRY_BYTES`` per entry
+count against the same budget (exit 2 before formatting).  A table report
+prints neither, so it formats neither.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import nullcontext
+
+import numpy as np
 
 from . import __version__
 from .bases import LoopBasis, StringBasis
@@ -54,15 +58,40 @@ from .strings import check_budget, flat_fields
 
 REPORT_VERSION = 1
 # Peak memory per matrix entry formatted into a JSON report, its complex
-# array included: 174 B measured for relcomm --basis and 139 B for
-# pmpo --dump on trivial 3 at k = 3 (531,441 entries each), rounded up
+# array included, as the rise in peak RSS over the same report without the
+# matrix on trivial 3 at k = 3 (531,441 entries each): 174 B for
+# relcomm --basis and 139 B for pmpo --dump, rounded up, when every entry
+# was held as a string; written row by row, 22 B and 1 B
 FORMATTED_ENTRY_BYTES = 176
 
 
-def _fmt_rows(mat) -> list[list[str]]:
-    """The rows of a complex matrix as "a+bj" strings, each part to 17 digits."""
-    return [[_fmt(z.real) + ("+" if z.imag >= 0 else "-") + _fmt(abs(z.imag)) + "j"
-             for z in row] for row in mat.tolist()]
+# Stands in for the matrix of a report while the rest is encoded as JSON
+_MATRIX = "\0matrix\0"
+
+
+def _write_matrix(write, mat: np.ndarray) -> None:
+    """Write a matrix as the value of a top-level field of a JSON report.
+
+    The bytes are those of ``json.dumps(..., indent=1)`` on the list of rows of
+    ``"a+bj"`` strings: each part to 17 significant digits, the sign ``+``
+    when the imaginary part is ``>= 0`` and ``-`` otherwise, so -0.0 is
+    written ``+0`` and a NaN imaginary part ``-nan``.  Each row is one ``%``
+    operation on a template, applied to its interleaved real and imaginary
+    parts; adding 0.0 to the imaginary part turns -0.0 into +0.0.
+    """
+    rows, cols = mat.shape
+    if rows == 0:
+        write("[]")
+        return
+    cells = ",\n".join(['   "%.17g%+.17gj"'] * cols)
+    template = f"  [\n{cells}\n  ]" if cols else "  []"
+    parts = np.empty((cols, 2))
+    write("[\n")
+    for i, row in enumerate(mat):
+        parts[:, 0] = row.real
+        np.add(row.imag, 0.0, out=parts[:, 1])
+        write((template % tuple(parts.ravel().tolist())).replace("+nanj", "-nanj"))
+        write(",\n" if i + 1 < rows else "\n ]")
 
 
 def _build_builtin(tokens: list[str]) -> Connection:
@@ -111,15 +140,29 @@ def _provenance(args, input_hash: str) -> dict:
 
 
 def _emit(args, report: dict, table_lines: list[str]) -> None:
+    """Write the report to ``--out`` or stdout.
+
+    A JSON report is ``json.dumps(report, indent=1, sort_keys=True)`` with a
+    newline; its one top-level ``ndarray`` field, if any, is written row by
+    row as :func:`_write_matrix` describes.
+    """
+    mat, head, tail = None, "\n".join(table_lines) + "\n", ""
     if args.format == "json":
-        text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(table_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        key = next((k for k, v in report.items() if isinstance(v, np.ndarray)), None)
+        if key is None:
+            head = json.dumps(report, indent=1, sort_keys=True) + "\n"
+        else:
+            mat = report[key]
+            text = json.dumps(report | {key: _MATRIX}, indent=1, sort_keys=True) + "\n"
+            field = f'"{key}": '
+            # a string value escapes its quotes, so only the field itself matches
+            head, _, tail = text.partition(field + json.dumps(_MATRIX))
+            head += field
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as f:
+        f.write(head)
+        if mat is not None:
+            _write_matrix(f.write, mat)
+        f.write(tail)
 
 
 def _fusion_payload(fd) -> dict:
@@ -237,7 +280,7 @@ def cmd_pmpo(args) -> int:
     }
     if dump:
         report["basis_legend"] = [list(loop) for loop in lbasis.loops]
-        report["matrix"] = _fmt_rows(p.matrix)
+        report["matrix"] = p.matrix
     lines = [f"projector operator at k = {args.k} (tol {args.tol:g})",
              f"  loop space dimension  {lbasis.dim}",
              f"  rank                  {rank}",
@@ -257,7 +300,7 @@ def cmd_relcomm(args) -> int:
         check_budget(FORMATTED_ENTRY_BYTES * ff.vectors.size,
                      f"flat basis at k={args.k} on dim B_k = {ff.basis.dim}",
                      "its formatted JSON entries")
-        report["basis"] = _fmt_rows(ff.vectors.T)
+        report["basis"] = ff.vectors.T
     lines = [f"flat fields at k = {args.k}",
              f"  string space dimension {ff.basis.dim}",
              f"  flat dimension         {ff.dimension}"]

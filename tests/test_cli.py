@@ -351,3 +351,14 @@ def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, comman
     code, out, _ = run(capsys, *argv, "table")
     assert code == 0
     assert "81" in out
+
+
+def test_a_refused_report_writes_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 1 << 20)
+    path = tmp_path / "F"
+    code, out, err = run(capsys, "relcomm", "--builtin", "trivial 3", "-k", "2", "--basis",
+                         "--format", "json", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()

@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 
-from biunitary.cli import _fmt_rows
+from report_oracle import fmt_rows
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "reports.py"
 spec = importlib.util.spec_from_file_location("reports", TOOL)
@@ -16,7 +16,7 @@ spec.loader.exec_module(reports)
 
 
 def relcomm_report(vectors) -> bytes:
-    rows = _fmt_rows(np.asarray(vectors, dtype=complex))
+    rows = fmt_rows(vectors)
     return json.dumps({"command": "relcomm", "flat_dimension": len(rows),
                        "basis": rows}, indent=1).encode()
 

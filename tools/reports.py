@@ -4,12 +4,14 @@ Usage: ``python3 tools/reports.py OUTDIR``
 
 For each report this writes ``OUTDIR/<name>.stdout``, ``.stderr`` and
 ``.exit`` (the exit code), running ``biunitary`` from the ``src`` tree of
-the checkout that holds this script, at seed 0 with ``--format json``:
+the checkout that holds this script, at seed 0 with ``--format json``;
+``<name>`` is the command, the builder and the report's ``--`` flags, joined
+by ``-`` (``pmpo-dynkin-A3-dump``):
 
 * ``decompose`` and ``check`` on the fourteen test builders plus E7, A11
   and A15;
-* ``verify-theorem -k 4``, ``relcomm -k 3 --basis``, ``pmpo -k 3`` and
-  ``stats -n 4`` on the fourteen test builders.
+* ``verify-theorem -k 4``, ``relcomm -k 3 --basis``, ``pmpo -k 3``,
+  ``pmpo -k 2 --dump`` and ``stats -n 4`` on the fourteen test builders.
 
 Usage: ``python3 tools/reports.py --compare A B``
 
@@ -51,6 +53,7 @@ REPORTS = (
     + [("verify-theorem", b, ["-k", "4"]) for b in BUILDERS]
     + [("relcomm", b, ["-k", "3", "--basis"]) for b in BUILDERS]
     + [("pmpo", b, ["-k", "3"]) for b in BUILDERS]
+    + [("pmpo", b, ["-k", "2", "--dump"]) for b in BUILDERS]
     + [("check", b, []) for b in BUILDERS + LARGE]
     + [("stats", b, ["-n", "4"]) for b in BUILDERS]
 )
@@ -129,7 +132,7 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for command, builder, extra in REPORTS:
-        name = f"{command}-{builder.replace(' ', '-')}"
+        name = "-".join([command, *builder.split(), *(a[2:] for a in extra if a[:2] == "--")])
         run = subprocess.run(
             [sys.executable, "-m", "biunitary.cli", command, "--builtin", builder,
              *extra, "--seed", "0", "--format", "json"],
