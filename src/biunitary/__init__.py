@@ -46,7 +46,6 @@ from .decomp import (
     FusionData,
     SectorStatistics,
     compress,
-    decompose,
     discover_irreducibles,
     end_minimal_projections,
     hom_space,

@@ -265,7 +265,7 @@ def cmd_pmpo(args) -> int:
                                          seed=args.seed, tol=args.tol)
     sbasis = StringBasis(wn.top, args.k)
     what = f"dense P^k at k={args.k} on dim B_k = {sbasis.dim}"
-    # pmpo_P holds the operator and at most one block product
+    # the operator, and pmpo_P's block product or eigvalsh's copy; the checks go by row blocks
     check_budget(2 * 16 * sbasis.dim ** 2, what, "two dense dim B_k x dim B_k arrays")
     dump = args.dump and args.format == "json"
     if dump:

@@ -15,6 +15,7 @@ roles of horizontal and vertical edges and rescales by weight ratios.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -123,6 +124,8 @@ class Connection:
             cell = Cell(*key)
             self._check_cell(cell)
             v = complex(v)
+            if not cmath.isfinite(v):
+                raise ConnectionError(f"cell {cell}: value {v} is not finite")
             if v != 0:
                 vals[cell] = v
         self.values: dict[Cell, complex] = vals
@@ -409,7 +412,7 @@ def _glue(first: Connection, second: Connection, first_side: str, second_side: s
     return values
 
 
-def vertical_product(top: Connection, bottom: Connection, name: str | None = None) -> Connection:
+def vertical_product(top: Connection, bottom: Connection) -> Connection:
     """Stack two connections; vertical edges compose and the shared horizontal edge is summed."""
     if not top.bottom.structurally_equal(bottom.top):
         raise ConnectionError("vertical product needs top.bottom == bottom.top")
@@ -418,10 +421,10 @@ def vertical_product(top: Connection, bottom: Connection, name: str | None = Non
     values = _glue(top, bottom, "bottom", "top", lambda c1, c2: Cell(
         f"{c1.left}|{c2.left}", c1.top, f"{c1.right}|{c2.right}", c2.bottom))
     return Connection(top.top, left, bottom.bottom, right, bottom.mu | top.mu, values,
-                      name=name or f"({top.name}*{bottom.name})")
+                      name=f"({top.name}*{bottom.name})")
 
 
-def horizontal_product(leftc: Connection, rightc: Connection, name: str | None = None) -> Connection:
+def horizontal_product(leftc: Connection, rightc: Connection) -> Connection:
     """Concatenate two connections side by side; the shared vertical edge is summed."""
     if not leftc.right.structurally_equal(rightc.left):
         raise ConnectionError("horizontal product needs leftc.right == rightc.left")
@@ -431,7 +434,7 @@ def horizontal_product(leftc: Connection, rightc: Connection, name: str | None =
     values = _glue(leftc, rightc, "right", "left", lambda c1, c2: Cell(
         c1.left, f"{c1.top}|{c2.top}", c2.right, f"{c1.bottom}|{c2.bottom}"))
     return Connection(top, leftc.left, bottom, rightc.right, rightc.mu | leftc.mu, values,
-                      name=name or f"({leftc.name}.{rightc.name})")
+                      name=f"({leftc.name}.{rightc.name})")
 
 
 # -- builders ---------------------------------------------------------------

@@ -43,7 +43,6 @@ __all__ = [
     "hom_space",
     "end_minimal_projections",
     "compress",
-    "decompose",
     "discover_irreducibles",
     "FusionData",
     "SectorStatistics",
@@ -70,6 +69,10 @@ class _HomProblem:
     and ("R", y, w) on the y layer, block shape (dst edge count, src edge
     count).  A family is held flat, its blocks row-major in ``keys`` order;
     a space of families is the ``(m, n_var)`` stack of its flat vectors.
+
+    ``pairs`` holds one constraint ``dst[t, b] T_L(x, z) == T_R(y, w) src[t, b]``
+    per top edge t: x->y and bottom edge b: z->w with a slot on either side,
+    as ``(L key or None, R key or None, dst[t, b], src[t, b])``.
     """
 
     def __init__(self, src: Connection, dst: Connection):
@@ -77,7 +80,6 @@ class _HomProblem:
             raise ConnectionError("hom space needs identical horizontal graphs")
         if not src.is_a_type:
             raise ConnectionError("hom space is defined for top == bottom connections")
-        self.src, self.dst = src, dst
         self.keys: list[tuple] = []
         self.shapes: dict[tuple, tuple[int, int]] = {}
         self.offsets: dict[tuple, int] = {}
@@ -95,6 +97,13 @@ class _HomProblem:
                         self.offsets[key] = off
                         off += m[0] * m[1]
         self.n_var = off
+        self.pairs: list[tuple] = []
+        for t, x, y in src.top.edges:
+            for b, z, w in src.bottom.edges:
+                kl = ("L", x, z) if ("L", x, z) in self.offsets else None
+                kr = ("R", y, w) if ("R", y, w) in self.offsets else None
+                if kl or kr:
+                    self.pairs.append((kl, kr, dst.cell_matrix(t, b), src.cell_matrix(t, b)))
 
     def block(self, flat: np.ndarray, key: tuple) -> np.ndarray:
         """The `key` blocks of a flat family or a stack of them, as a view."""
@@ -112,25 +121,14 @@ class _HomProblem:
         return np.concatenate([self.block(stack, k).conj().swapaxes(-1, -2)
                                .reshape(len(stack), -1) for k in self.keys], axis=-1)
 
-    def constraint_pairs(self):
-        """Per (top edge, bottom edge): the two cell matrices and slot keys."""
-        for t, _, _ in self.src.top.edges:
-            x, y = self.src.top.source(t), self.src.top.range(t)
-            for b, _, _ in self.src.bottom.edges:
-                z, w = self.src.bottom.source(b), self.src.bottom.range(b)
-                a_mat = self.dst.cell_matrix(t, b)   # (dst_r, dst_l)
-                b_mat = self.src.cell_matrix(t, b)   # (src_r, src_l)
-                kl, kr = ("L", x, z), ("R", y, w)
-                yield kl, kr, a_mat, b_mat
-
     def residual(self, stack: np.ndarray) -> float:
         """Largest entry of ``A T_L - T_R B`` over every family of the stack."""
         worst = 0.0
-        for kl, kr, a_mat, b_mat in self.constraint_pairs():
+        for kl, kr, a_mat, b_mat in self.pairs:
             c = 0
-            if kl in self.offsets and a_mat.size:
+            if kl:
                 c = a_mat @ self.block(stack, kl)
-            if kr in self.offsets and b_mat.size:
+            if kr:
                 c = c - self.block(stack, kr) @ b_mat
             if np.size(c):
                 worst = max(worst, float(np.max(np.abs(c))))
@@ -145,13 +143,8 @@ def _gram_block(gram: np.ndarray, prob: _HomProblem, k1: tuple, k2: tuple) -> np
 
 
 def _hom_kernel(prob: _HomProblem) -> np.ndarray:
-    """The ``(m, n_var)`` stack of an orthonormal basis of the hom space.
-
-    Solves, for every top edge t: x->y and bottom edge b: z->w,
-
-        dst[t, b] @ T_L(x, z) == T_R(y, w) @ src[t, b]
-
-    by extracting the kernel of the Gram operator of the stacked system.
+    """The ``(m, n_var)`` stack of an orthonormal basis of the hom space:
+    the kernel of the Gram operator of the constraints in ``prob.pairs``.
     The basis is orthonormal in the entrywise inner product and its order is
     fixed by the eigensolver, so results are reproducible.
     """
@@ -161,14 +154,12 @@ def _hom_kernel(prob: _HomProblem) -> np.ndarray:
     # placed once; the cross terms -A^H (x) B^T are added per pair.
     squares: dict[tuple, np.ndarray] = {}
     gram = np.zeros((n, n), dtype=complex)
-    for kl, kr, a_mat, b_mat in prob.constraint_pairs():
-        has_l = kl in prob.offsets and a_mat.size
-        has_r = kr in prob.offsets and b_mat.size
-        if has_l:
+    for kl, kr, a_mat, b_mat in prob.pairs:
+        if kl:
             squares[kl] = squares.get(kl, 0) + a_mat.conj().T @ a_mat
-        if has_r:
+        if kr:
             squares[kr] = squares.get(kr, 0) + b_mat.conj() @ b_mat.T
-        if has_l and has_r:
+        if kl and kr:
             cross = _gram_block(gram, prob, kl, kr)
             cross -= a_mat.conj().T[:, None, :, None] * b_mat.T[None, :, None, :]
     for key, sq in squares.items():
@@ -328,11 +319,6 @@ def compress(c: Connection, p: dict[tuple, np.ndarray], tol: float = DEFAULT_TOL
             f"compressed connection fails bi-unitarity (residual {rep.max_residual:.3e}); "
             "the projection is not a valid endomorphism")
     return out
-
-
-def decompose(c: Connection, seed: int = 0, tol: float = DEFAULT_TOL) -> list[Connection]:
-    """All irreducible summands of `c`, one per minimal projection."""
-    return [compress(c, p, tol) for p in end_minimal_projections(c, seed)]
 
 
 # -- fusion data --------------------------------------------------------------

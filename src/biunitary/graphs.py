@@ -115,15 +115,10 @@ class LayeredGraph:
             a[self._src_index[s], self._rng_index[r]] += 1
         return a
 
-    def reverse(self, name: str | None = None) -> "LayeredGraph":
+    def reverse(self) -> "LayeredGraph":
         """The edge-reversed graph; edge ids are preserved."""
-        return LayeredGraph(
-            name if name is not None else self.name + "~",
-            self.vertices,
-            [(e, r, s) for e, s, r in self.edges],
-            self.range_layer,
-            self.source_layer,
-        )
+        return LayeredGraph(self.name + "~", self.vertices, [(e, r, s) for e, s, r in self.edges],
+                            self.range_layer, self.source_layer)
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -141,10 +136,10 @@ class LayeredGraph:
         roots = {find(v) for v, _ in self.vertices}
         return len(roots) == 1
 
-    def validate(self, min_edges: int = 2) -> None:
-        """Raise unless the graph is connected with at least `min_edges` edges."""
-        if self.n_edges < min_edges:
-            raise GraphError(f"graph {self.name!r} has {self.n_edges} edges, needs >= {min_edges}")
+    def validate(self) -> None:
+        """Raise unless the graph is connected with at least two edges."""
+        if self.n_edges < 2:
+            raise GraphError(f"graph {self.name!r} has {self.n_edges} edges, needs >= 2")
         if not self.is_connected():
             raise GraphError(f"graph {self.name!r} is not connected")
 

@@ -65,6 +65,22 @@ def test_directory_paths_are_input_errors(tmp_path, capsys, argv):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("command", [["relcomm", "-k", "2"], ["check"]])
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_cell_values_are_input_errors(tmp_path, capsys, command, part, value):
+    path = tmp_path / "a3.json"
+    run(capsys, "builtin", "dynkin", "A3", "--out", str(path))
+    doc = json.loads(path.read_text())
+    doc["values"][0][part] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "is not finite" in err
+
+
 def test_verify_theorem_a3(capsys):
     code, out, _ = run(capsys, "verify-theorem", "--builtin", "dynkin A3", "-k", "3")
     assert code == 0

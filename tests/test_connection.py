@@ -80,6 +80,14 @@ class TestValues:
         assert abs(v - EPS_A3) < 1e-15
         assert abs(v - (-0.3826834 + 0.9238795j)) < 1e-6
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_values_are_refused(self, bad):
+        c = build_dynkin("A3")
+        values = dict(c.values)
+        values[sorted(values)[0]] = bad
+        with pytest.raises(ConnectionError, match=r"^cell Cell\(.*\): value .* is not finite$"):
+            Connection(c.top, c.left, c.bottom, c.right, c.mu, values)
+
     def test_trivial_values_are_paired_deltas(self):
         c = build_trivial(2)
         for i in range(2):

@@ -14,7 +14,6 @@ from biunitary import (
     build_identity,
     check_biunitarity,
     compress,
-    decompose,
     discover_irreducibles,
     end_minimal_projections,
     hom_space,
@@ -25,6 +24,7 @@ from biunitary import (
 from biunitary.decomp import (
     _HomProblem,
     _MultiplicitySolver,
+    _hom_kernel,
     _span_distance,
 )
 from biunitary.nullspace import HOM_RESIDUAL_EPS
@@ -89,6 +89,29 @@ class TestHomSpace:
         # one pass over the stack is the worst of the per-vector residuals
         assert prob.residual(bad) == max(prob.residual(v[None]) for v in bad)
 
+    @pytest.mark.parametrize("case", ["dynkin:E7 product", "trivial:3 product", "dynkin:A3 a0 a1"])
+    def test_each_constraint_pair_is_listed_once(self, systems, case):
+        name, _, what = case.partition(" ")
+        s = systems(name)
+        if what == "product":
+            src = dst = wtilde(s.wn)
+        else:
+            src, dst = (s.reps[a] for a in what.split())
+        prob = _HomProblem(src, dst)
+        want = []
+        for t, x, y in src.top.edges:
+            for b, z, w in src.bottom.edges:
+                kl = ("L", x, z) if (dst.left.edges_between(x, z)
+                                     and src.left.edges_between(x, z)) else None
+                kr = ("R", y, w) if (dst.right.edges_between(y, w)
+                                     and src.right.edges_between(y, w)) else None
+                if kl or kr:
+                    want.append((kl, kr, dst.cell_matrix(t, b), src.cell_matrix(t, b)))
+        assert [p[:2] for p in prob.pairs] == [p[:2] for p in want]
+        for got, exp in zip(prob.pairs, want):
+            assert np.array_equal(got[2], exp[2]) and np.array_equal(got[3], exp[3])
+        assert prob.residual(_hom_kernel(prob)) < HOM_RESIDUAL_EPS
+
 
 class TestSplitting:
     def test_irreducible_yields_identity_projection(self):
@@ -138,7 +161,8 @@ class TestSplitting:
 
     def test_a3_summand_dimensions(self, systems):
         s = systems("dynkin:A3")
-        summands = decompose(wtilde(s.wn), seed=4)
+        c = wtilde(s.wn)
+        summands = [compress(c, p) for p in end_minimal_projections(c, 4)]
         dims = sorted(float(np.max(np.abs(np.linalg.eigvals(
             x.left.adjacency().astype(float))))) for x in summands)
         assert np.allclose(dims, [1.0, 1.0], atol=1e-10)

@@ -6,6 +6,7 @@ import pytest
 from biunitary import (
     LadderEngine,
     LoopBasis,
+    MPOOperator,
     StringBasis,
     mpo_O,
     mpo_O_tilde,
@@ -13,6 +14,7 @@ from biunitary import (
     pmpo_P,
     projector_trace,
 )
+from biunitary.mpo import _is_hermitian
 
 from conftest import ALL_BUILDERS
 from dense_ladder import dense_half_ladder
@@ -146,6 +148,18 @@ class TestOperatorRank:
         a = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
         a = a + 1j * (rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)))
         assert operator_rank(a) <= 6
+
+    def test_row_block_checks_match_the_dense_ones(self):
+        # 1100 rows make three row blocks; the defect sits in the last one
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((1100, 40)) + 1j * rng.standard_normal((1100, 40)))
+        p = q @ q.conj().T
+        assert _is_hermitian(p) and operator_rank(p) == 40
+        assert MPOOperator(p).idempotency_defect() < 1e-12
+        p[-1, 0] += 1e-3
+        assert not _is_hermitian(p)
+        dense = float(np.max(np.abs(p @ p - p)))
+        assert MPOOperator(p).idempotency_defect() == pytest.approx(dense, rel=1e-12)
 
 
 class TestShift:
