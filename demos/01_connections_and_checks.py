@@ -32,7 +32,7 @@ print("weights:", {v: round(m, 6) for v, m in conn.mu.items()})
 for cell, value in sorted(conn.cells()):
     print(f"  cell {tuple(cell)} -> {value:.6f}")
 
-rep = validate_square(conn.scheme())
+rep = validate_square(conn)
 print("square eigen-equations pass:", rep.passed, f"(max residual {rep.max_residual:.2e})")
 
 rep = check_biunitarity(conn)
@@ -42,6 +42,8 @@ print("bi-unitarity:", rep.passed,
 # -- reflections are involutive ------------------------------------------------
 
 primed = renormalize(conn, "prime")
+# the reflected top graph starts on layer 1, so the base vertex is dropped
+print("reflection keeps gamma:", primed.gamma == conn.gamma, "and has base", primed.base)
 double = renormalize(primed, "prime")
 diff = max(abs(conn.values[c] - double.values.get(c, 0)) for c in conn.values)
 print("double horizontal reflection returns the table, max diff:", diff)

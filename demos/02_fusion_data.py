@@ -37,11 +37,10 @@ print(f"A4 global index vs (5 + sqrt 5)/2:       {fd.w:.12f} vs {(5 + math.sqrt(
 
 # -- power multiplicities and the normalized profiles --------------------------
 
-scheme = wn.scheme()
 sqw = math.sqrt(fd.w)
 print("level-n profiles for A4 (Fibonacci data):")
 for n in range(1, 8):
-    st = sector_statistics(fd, scheme, n)
+    st = sector_statistics(fd, wn, n)
     kdev = max(abs(st.kappa[x] - wn.mu[x] / sqw) for x in fd.v0)
     ldev = max(abs(st.lam[a] - fd.d[a] / sqw) for a in fd.labels)
     print(f"  n={n}: path counts {st.path_counts}  power multiplicities "

@@ -41,7 +41,7 @@ for a in fd.labels:
 
 p = pmpo_P(fd, reps, 2, lb)
 print(f"   projector idempotency residual: {p.idempotency_defect():.2e}")
-print(f"   folding map is invertible: rank {operator_rank(np.diag(lb.fold_factor), 1e-10)} "
+print(f"   folding map is invertible: rank {operator_rank(np.diag(lb.fold_factor))} "
       f"of {lb.dim}")
 
 print("\n== rank of the projector (dense, and as the trace of P^k) vs flat-field dimension")

@@ -24,6 +24,7 @@ from .connection import (
     Connection,
     ConnectionError,
     OrientedCellQuery,
+    SquareReport,
     UnitarityReport,
     build_cyclic_group,
     build_dynkin,
@@ -37,6 +38,7 @@ from .connection import (
     horizontal_product,
     read_connection,
     renormalize,
+    validate_square,
     vertical_product,
     write_connection,
 )
@@ -54,11 +56,8 @@ from .decomp import (
 from .graphs import (
     GraphError,
     LayeredGraph,
-    SquareReport,
-    SquareScheme,
     count_paths,
     perron_frobenius,
-    validate_square,
 )
 from .ladders import Ladder, LadderEngine, PathSet
 from .mpo import (

@@ -20,9 +20,10 @@ half-ladder blocks or stacks would exceed it; ``verify-theorem`` solves
 its largest k first, so an oversized k is refused before any other solve.
 A JSON report writes the ``pmpo --dump`` matrix and the ``relcomm --basis``
 vectors row by row, each entry as the string ``"a+bj"`` or ``"a-bj"`` with
-both parts to 17 significant digits; ``FORMATTED_ENTRY_BYTES`` per entry
-count against the same budget (exit 2 before formatting).  A table report
-prints neither, so it formats neither.
+both parts to 17 significant digits.  For ``relcomm``,
+``FORMATTED_ENTRY_BYTES`` per entry count against the same budget (exit 2
+before formatting); ``pmpo``'s two-array pre-flight already counts more.  A
+table report prints neither, so it formats neither.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ from .strings import check_budget, flat_fields
 REPORT_VERSION = 1
 # Peak memory per matrix entry formatted into a JSON report, its complex
 # array included, as the rise in peak RSS over the same report without the
-# matrix on trivial 3 at k = 3 (531,441 entries each): 174 B for
-# relcomm --basis and 139 B for pmpo --dump, rounded up, when every entry
-# was held as a string; written row by row, 22 B and 1 B
-FORMATTED_ENTRY_BYTES = 176
+# matrix on trivial 3 at k = 3 (531,441 entries each), written row by row:
+# at most 22.8 B (relcomm --basis) and 0.8 B (pmpo --dump) in three runs,
+# rounded up; below pmpo's 32 B of dense arrays, so only relcomm checks it.
+FORMATTED_ENTRY_BYTES = 24
 
 
 # Stands in for the matrix of a report while the rest is encoded as JSON
@@ -234,6 +235,8 @@ def _validate_config(args) -> None:
         raise ValueError("k must be >= 1")
     if getattr(args, "n", 1) < 1:
         raise ValueError("n must be >= 1")
+    if getattr(args, "powers", 1) < 1:
+        raise ValueError("powers must be >= 1")
     if not 0 < args.tol <= 1e-2:
         raise ValueError("tolerance must lie in (0, 1e-2]")
     if getattr(args, "max_depth", 1) < 1:
@@ -268,8 +271,6 @@ def cmd_pmpo(args) -> int:
     # the operator, and pmpo_P's block product or eigvalsh's copy; the checks go by row blocks
     check_budget(2 * 16 * sbasis.dim ** 2, what, "two dense dim B_k x dim B_k arrays")
     dump = args.dump and args.format == "json"
-    if dump:
-        check_budget(FORMATTED_ENTRY_BYTES * sbasis.dim ** 2, what, "its formatted JSON entries")
     lbasis = LoopBasis(sbasis, wn.mu)
     p = pmpo_P(fd, reps, args.k, lbasis)
     rank = operator_rank(p)
@@ -335,12 +336,11 @@ def cmd_stats(args) -> int:
     conn, h = _load(args)
     fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
                                          seed=args.seed, tol=args.tol)
-    scheme = wn.scheme()
     per_level = []
     lines = [f"normalized profiles up to n = {args.n} (tol {args.tol:g})"]
     sqw = math.sqrt(fd.w)
     for n in range(1, args.n + 1):
-        st = sector_statistics(fd, scheme, n)
+        st = sector_statistics(fd, wn, n)
         per_level.append({
             "n": n,
             "alpha": _fmt(st.alpha),

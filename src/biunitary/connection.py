@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GraphError, LayeredGraph, SquareScheme, perron_frobenius
+from .graphs import GraphError, LayeredGraph, perron_frobenius
 from .nullspace import DEFAULT_TOL
 
 __all__ = [
@@ -35,8 +35,10 @@ __all__ = [
     "Connection",
     "UnitarityReport",
     "BiunitarityReport",
+    "SquareReport",
     "check_unitarity",
     "check_biunitarity",
+    "validate_square",
     "renormalize",
     "extended_value",
     "vertical_product",
@@ -86,9 +88,9 @@ class Connection:
     """A complex-valued cell table on a square of four layered graphs.
 
     The table is sparse: absent cells have value zero.  Graphs, weights and
-    values are immutable by convention.  ``gamma`` and ``base`` are carried
-    when the connection sits on a genuine four-layer square scheme and are
-    None for derived connections (products, summands).
+    values are immutable by convention.  ``gamma`` (the horizontal and the
+    vertical eigenvalue) and ``base`` (a source vertex of the top graph) are
+    None for products and summands; renormalizations drop the base.
     """
 
     def __init__(self, top, left, bottom, right, mu, values,
@@ -113,6 +115,8 @@ class Connection:
             raise ConnectionError("left and bottom graphs disagree on the z layer")
         if set(bottom.rng_vertices) != set(right.rng_vertices):
             raise ConnectionError("bottom and right graphs disagree on the w layer")
+        if base is not None and base not in top.src_vertices:
+            raise ConnectionError(f"base = {base!r} is not a source vertex of the top graph")
         for v in self.vertex_ids():
             if v not in self.mu:
                 raise ConnectionError(f"missing weight for vertex {v!r}")
@@ -226,12 +230,6 @@ class Connection:
         return Connection(self.top, self.left, self.bottom, self.right, mu,
                           self.values, gamma=self.gamma, base=self.base, name=self.name)
 
-    def scheme(self) -> SquareScheme:
-        if self.gamma is None or self.base is None:
-            raise ConnectionError("connection does not carry square-scheme data")
-        return SquareScheme(self.top, self.left, self.bottom, self.right,
-                            dict(self.mu), self.gamma[0], self.gamma[1], self.base)
-
     def __repr__(self):
         return (f"Connection({self.name!r}, {len(self.values)} cells, "
                 f"|x|={len(self.x_vertices)}, |y|={len(self.y_vertices)})")
@@ -267,6 +265,21 @@ class BiunitarityReport:
     @property
     def passed(self) -> bool:
         return self.original.passed and self.primed.passed
+
+
+@dataclass
+class SquareReport:
+    residuals: dict[str, float] = field(default_factory=dict)
+    checks: dict[str, bool] = field(default_factory=dict)
+    messages: list[str] = field(default_factory=list)
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals.values(), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def check_unitarity(conn: Connection, tol: float = DEFAULT_TOL) -> UnitarityReport:
@@ -312,6 +325,43 @@ def check_biunitarity(conn: Connection, tol: float = DEFAULT_TOL) -> Biunitarity
     )
 
 
+def _eigen_residuals(g: LayeredGraph, mu: dict[str, float], gamma: float) -> tuple[float, float]:
+    a = g.adjacency().astype(float)
+    vs = np.array([mu[x] for x in g.src_vertices])
+    vr = np.array([mu[y] for y in g.rng_vertices])
+    r1 = float(np.max(np.abs(a.T @ vs - gamma * vr))) if len(vr) else 0.0
+    r2 = float(np.max(np.abs(a @ vr - gamma * vs))) if len(vs) else 0.0
+    return r1, r2
+
+
+def validate_square(conn: Connection, tol: float = DEFAULT_TOL) -> SquareReport:
+    """Connectivity, the eight eigenvalue equations (``gamma[0]`` horizontal,
+    ``gamma[1]`` vertical) and ``gamma > 1``; :class:`Connection` checks the
+    rest.  Raises unless the connection carries ``gamma`` and a base."""
+    if conn.gamma is None or conn.base is None:
+        raise ConnectionError("square validation needs a connection with gamma and a base")
+    gamma1, gamma2 = conn.gamma
+    rep = SquareReport()
+    pairs = [("g", conn.top, gamma1), ("g_prime", conn.bottom, gamma1),
+             ("h", conn.left, gamma2), ("h_prime", conn.right, gamma2)]
+    for name, graph, gamma in pairs:
+        try:
+            graph.validate()
+            rep.checks[f"{name}_connected"] = True
+        except GraphError as err:
+            rep.checks[f"{name}_connected"] = False
+            rep.messages.append(str(err))
+            continue
+        r_in, r_out = _eigen_residuals(graph, conn.mu, gamma)
+        rep.residuals[f"{name}_into_range"] = r_in
+        rep.residuals[f"{name}_into_source"] = r_out
+        rep.checks[f"{name}_into_range"] = r_in < tol
+        rep.checks[f"{name}_into_source"] = r_out < tol
+    rep.checks["gamma1_gt_1"] = gamma1 > 1.0
+    rep.checks["gamma2_gt_1"] = gamma2 > 1.0
+    return rep
+
+
 # -- renormalizations -------------------------------------------------------
 
 
@@ -339,7 +389,8 @@ def renormalize(conn: Connection, kind: str) -> Connection:
     horizontal graphs swapped, values conjugated with the same factor.
     ``bar_prime``: half-turn; all edges reversed, values kept as they are.
     ``prime`` and ``bar`` are involutive; ``bar_prime`` equals their
-    composition up to relabeling.
+    composition up to relabeling.  Each keeps ``gamma``, and drops the base,
+    since the new top graph starts on another layer.
     """
     if kind not in _RENORMALIZATIONS:
         raise ValueError(f"unknown renormalization kind {kind!r}")
@@ -352,7 +403,7 @@ def renormalize(conn: Connection, kind: str) -> Connection:
     for c, v in conn.cells():
         values[Cell(*moved(c))] = _mu_factor(conn, c) * v.conjugate() if rescale else v
     return Connection(top, left, bottom, right, conn.mu, values,
-                      gamma=conn.gamma, base=conn.base, name=conn.name + suffix)
+                      gamma=conn.gamma, name=conn.name + suffix)
 
 
 def extended_value(conn: Connection, q: OrientedCellQuery) -> complex:
@@ -725,13 +776,7 @@ def connection_from_document(doc: dict) -> Connection:
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
         raise ConnectionError(f"connection document: missing or invalid field {where!r} "
                               f"({type(err).__name__}: {err})") from err
-    if gamma is not None and not all(math.isfinite(g) and g > 0 for g in gamma):
-        raise ConnectionError(f"connection document: field 'gamma' = {list(gamma)} "
-                              "is not positive and finite")
     base = doc.get("base")
-    if base is not None and base not in graphs["top"].src_vertices:
-        raise ConnectionError(f"connection document: field 'base' = {base!r} is not "
-                              "a source vertex of the top graph")
     if not mu:
         # weights are optional in the format: recover them from the graphs
         try:

@@ -11,6 +11,7 @@ finite label set with dimensions, fusion rules, and conjugation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,7 +73,8 @@ class _HomProblem:
 
     ``pairs`` holds one constraint ``dst[t, b] T_L(x, z) == T_R(y, w) src[t, b]``
     per top edge t: x->y and bottom edge b: z->w with a slot on either side,
-    as ``(L key or None, R key or None, dst[t, b], src[t, b])``.
+    as ``(L key or None, R key or None, dst[t, b], src[t, b])``.  It is built
+    on first use: a problem held only for its key layout reads no cell.
     """
 
     def __init__(self, src: Connection, dst: Connection):
@@ -97,13 +99,19 @@ class _HomProblem:
                         self.offsets[key] = off
                         off += m[0] * m[1]
         self.n_var = off
-        self.pairs: list[tuple] = []
+        self._src, self._dst = src, dst
+
+    @functools.cached_property
+    def pairs(self) -> list[tuple]:
+        src, dst = self._src, self._dst
+        pairs = []
         for t, x, y in src.top.edges:
             for b, z, w in src.bottom.edges:
                 kl = ("L", x, z) if ("L", x, z) in self.offsets else None
                 kr = ("R", y, w) if ("R", y, w) in self.offsets else None
                 if kl or kr:
-                    self.pairs.append((kl, kr, dst.cell_matrix(t, b), src.cell_matrix(t, b)))
+                    pairs.append((kl, kr, dst.cell_matrix(t, b), src.cell_matrix(t, b)))
+        return pairs
 
     def block(self, flat: np.ndarray, key: tuple) -> np.ndarray:
         """The `key` blocks of a flat family or a stack of them, as a view."""
@@ -347,7 +355,6 @@ class FusionData:
     conj: dict[str, str]
     l_table: dict[tuple[str, int], int] = field(default_factory=dict)
     mu: dict[str, float] = field(default_factory=dict)
-    gamma: tuple[float, float] | None = None
 
     def multiplicities(self, n: int) -> dict[str, int]:
         """Multiplicities L_a^n of each label in the n-th power, by fusion recursion."""
@@ -573,7 +580,7 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
 
     fd = FusionData(labels=labels, identity=identity_label, v0=v0, d=d, w=w_value,
                     n_table=n_table, m_table=m_table, conj=conj, l_table=l_table,
-                    mu=mu, gamma=w_conn.gamma)
+                    mu=mu)
     return fd, reps, w_norm
 
 
@@ -591,14 +598,17 @@ class SectorStatistics:
     lam: dict[str, float]
 
 
-def sector_statistics(fd: FusionData, scheme, n: int) -> SectorStatistics:
+def sector_statistics(fd: FusionData, w_conn: Connection, n: int) -> SectorStatistics:
     """Normalized path-count and power-multiplicity profiles at level n.
 
-    ``kappa`` converges to mu_x / sqrt(w) over layer-0 vertices and ``lam``
-    to d_a / sqrt(w) over labels as n grows; both are exact integer data
-    before normalization.
+    The paths run back and forth on the left graph of `w_conn` from its
+    base.  ``kappa`` converges to mu_x / sqrt(w) over layer-0 vertices and
+    ``lam`` to d_a / sqrt(w) over labels as n grows; both are exact integer
+    data before normalization.
     """
-    counts = count_paths(alternating(scheme.h, 2 * n), scheme.base, 2 * n)
+    if w_conn.base is None:
+        raise ConnectionError("sector statistics need a connection with a base vertex")
+    counts = count_paths(alternating(w_conn.left, 2 * n), w_conn.base, 2 * n)
     k = {x: counts.get(x, 0) for x in fd.v0}
     alpha = math.sqrt(sum(v * v for v in k.values()))
     kappa = {x: v / alpha for x, v in k.items()}

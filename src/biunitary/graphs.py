@@ -2,9 +2,7 @@
 
 A layered graph is a finite multigraph whose edges all run from one vertex
 layer to another (possibly the same) layer.  Four such graphs arranged
-around a square, together with a common positive weight vector and the two
-Perron-Frobenius eigenvalues, form the :class:`SquareScheme` on which
-connections live.
+around a square carry a connection (see :mod:`biunitary.connection`).
 
 Vertex and edge ids are opaque strings; every basis produced downstream is
 ordered lexicographically on these ids, so all matrix representations are
@@ -13,19 +11,12 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .nullspace import DEFAULT_TOL
 
 __all__ = [
     "GraphError",
     "LayeredGraph",
-    "SquareScheme",
-    "SquareReport",
     "perron_frobenius",
-    "validate_square",
     "alternating",
     "count_paths",
 ]
@@ -190,90 +181,6 @@ def perron_frobenius(g: LayeredGraph, base: str | None = None) -> tuple[float, d
     if min(weights.values()) <= 0:
         raise GraphError("eigenvector not strictly positive")
     return lam, weights
-
-
-# -- the four-graph square ----------------------------------------------
-
-
-@dataclass
-class SquareScheme:
-    """Four graphs around a square with common weights and eigenvalues.
-
-    ``g``: top, layer 0 -> 3; ``h``: left, 0 -> 1; ``g_prime``: bottom,
-    1 -> 2; ``h_prime``: right, 3 -> 2.  ``gamma1`` is the eigenvalue of the
-    horizontal pair (g, g_prime), ``gamma2`` of the vertical pair
-    (h, h_prime).  ``mu`` assigns a positive weight to every vertex of all
-    four layers; ``base`` is a distinguished vertex of layer 0.
-    """
-
-    g: LayeredGraph
-    h: LayeredGraph
-    g_prime: LayeredGraph
-    h_prime: LayeredGraph
-    mu: dict[str, float]
-    gamma1: float
-    gamma2: float
-    base: str
-
-    @property
-    def v0(self) -> tuple[str, ...]:
-        return self.g.src_vertices
-
-
-@dataclass
-class SquareReport:
-    residuals: dict[str, float] = field(default_factory=dict)
-    checks: dict[str, bool] = field(default_factory=dict)
-    messages: list[str] = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
-def _eigen_residuals(g: LayeredGraph, mu: dict[str, float], gamma: float) -> tuple[float, float]:
-    a = g.adjacency().astype(float)
-    vs = np.array([mu[x] for x in g.src_vertices])
-    vr = np.array([mu[y] for y in g.rng_vertices])
-    r1 = float(np.max(np.abs(a.T @ vs - gamma * vr))) if len(vr) else 0.0
-    r2 = float(np.max(np.abs(a @ vr - gamma * vs))) if len(vs) else 0.0
-    return r1, r2
-
-
-def validate_square(s: SquareScheme, tol: float = DEFAULT_TOL) -> SquareReport:
-    """Check the eight eigenvalue equations, positivity, and connectivity."""
-    rep = SquareReport()
-    pairs = [("g", s.g, s.gamma1), ("g_prime", s.g_prime, s.gamma1),
-             ("h", s.h, s.gamma2), ("h_prime", s.h_prime, s.gamma2)]
-    for name, graph, gamma in pairs:
-        try:
-            graph.validate()
-            rep.checks[f"{name}_connected"] = True
-        except GraphError as err:
-            rep.checks[f"{name}_connected"] = False
-            rep.messages.append(str(err))
-            continue
-        r_in, r_out = _eigen_residuals(graph, s.mu, gamma)
-        rep.residuals[f"{name}_into_range"] = r_in
-        rep.residuals[f"{name}_into_source"] = r_out
-        rep.checks[f"{name}_into_range"] = r_in < tol
-        rep.checks[f"{name}_into_source"] = r_out < tol
-    rep.checks["mu_positive"] = all(m > 0 for m in s.mu.values())
-    rep.checks["gamma1_gt_1"] = s.gamma1 > 1.0
-    rep.checks["gamma2_gt_1"] = s.gamma2 > 1.0
-    rep.checks["base_in_v0"] = s.base in s.v0
-    layer_ok = (
-        set(s.g.src_vertices) == set(s.h.src_vertices)
-        and set(s.h.rng_vertices) == set(s.g_prime.src_vertices)
-        and set(s.g.rng_vertices) == set(s.h_prime.src_vertices)
-        and set(s.g_prime.rng_vertices) == set(s.h_prime.rng_vertices)
-    )
-    rep.checks["layers_consistent"] = layer_ok
-    return rep
 
 
 # -- path counting and enumeration ----------------------------------------

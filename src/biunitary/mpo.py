@@ -124,8 +124,8 @@ def projector_trace(fd, reps: dict[str, Connection], k: int) -> float:
     return total
 
 
-def operator_rank(op, tol: float = RANK_EPS) -> int:
-    """Number of singular values above tol * max(1, sigma_max).
+def operator_rank(op) -> int:
+    """Number of singular values above RANK_EPS * max(1, sigma_max).
 
     Exactly diagonal matrices read their singular values off the diagonal
     and square Hermitian ones use their eigenvalues; both shortcuts are
@@ -142,7 +142,7 @@ def operator_rank(op, tol: float = RANK_EPS) -> int:
     else:
         sigma = np.linalg.svd(a, compute_uv=False)
     smax = float(np.max(sigma)) if sigma.size else 0.0
-    return int(np.count_nonzero(sigma > tol * max(1.0, smax)))
+    return int(np.count_nonzero(sigma > RANK_EPS * max(1.0, smax)))
 
 
 def _is_hermitian(a: np.ndarray) -> bool:

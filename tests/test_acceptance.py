@@ -228,10 +228,9 @@ def test_criterion_07_flatness_relations(systems, bases_for):
 
 def test_criterion_08_convergence_diagnostics(systems):
     s3 = systems("dynkin:A3")
-    scheme3 = s3.wn.scheme()
     worst_exact = 0.0
     for n in range(1, 7):
-        st = sector_statistics(s3.fd, scheme3, n)
+        st = sector_statistics(s3.fd, s3.wn, n)
         for x in s3.fd.v0:
             worst_exact = max(worst_exact, abs(st.kappa[x] - 1 / math.sqrt(2)))
         for a in s3.fd.labels:
@@ -239,11 +238,10 @@ def test_criterion_08_convergence_diagnostics(systems):
     assert worst_exact < 1e-12
 
     s4 = systems("dynkin:A4")
-    scheme4 = s4.wn.scheme()
     sqw = math.sqrt(s4.fd.w)
-    st10 = sector_statistics(s4.fd, scheme4, 10)
+    st10 = sector_statistics(s4.fd, s4.wn, 10)
     kappa_dev = max(abs(st10.kappa[x] - s4.fd.mu[x] / sqw) for x in s4.fd.v0)
-    st6 = sector_statistics(s4.fd, scheme4, 6)
+    st6 = sector_statistics(s4.fd, s4.wn, 6)
     lam_dev = max(abs(st6.lam[a] - s4.fd.d[a] / sqw) for a in s4.fd.labels)
     assert kappa_dev < 1e-3 and lam_dev < 1e-2
     print(f"\n[criterion 8] profiles: A3 exact to {worst_exact:.2e} < 1e-12; "

@@ -9,7 +9,7 @@ import pytest
 
 import biunitary.cli
 import biunitary.strings
-from biunitary import LadderEngine, build_dynkin
+from biunitary import LadderEngine, build_dynkin, connection_to_document
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
 from biunitary.ladders import grid_counts
@@ -116,6 +116,22 @@ def test_stats_runs(capsys):
     assert len(doc["levels"]) == 3
 
 
+@pytest.mark.parametrize("drop", [None, "base", "gamma"])
+def test_stats_needs_the_base_but_not_gamma(tmp_path, capsys, drop):
+    doc = connection_to_document(build_dynkin("A3"))
+    doc.pop(drop, None)
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stats", str(path), "-n", "3")
+    if drop == "base":
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: sector statistics need a connection with a base vertex"]
+    else:
+        assert code == 0 and err == ""
+        assert out == run(capsys, "stats", "--builtin", "dynkin A3", "-n", "3")[1]
+
+
 def test_reports_deterministic_across_seeds(capsys):
     texts = []
     for seed in ("0", "1", "2"):
@@ -151,6 +167,17 @@ def test_invalid_tolerance_is_input_error(capsys):
 def test_invalid_k_is_input_error(capsys):
     code, _, _ = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "0")
     assert code == 2
+
+
+def test_invalid_powers_is_refused_before_discovery(capsys, monkeypatch):
+    def discover(*args, **kwargs):
+        raise AssertionError("--powers must be checked before discovery")
+
+    monkeypatch.setattr(biunitary.cli, "discover_irreducibles", discover)
+    code, out, err = run(capsys, "decompose", "--builtin", "dynkin A3", "--powers", "0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: powers must be >= 1"]
 
 
 def test_depth_cap_is_numeric_failure(capsys):
@@ -352,29 +379,44 @@ def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
     assert solved == [8]
 
 
+# bytes per matrix entry of the check that refuses each JSON matrix report first;
+# pmpo's formatted entries fit in the two dense arrays its pre-flight counts
+MATRIX_REPORT_CHECKS = {
+    "relcomm": (biunitary.cli.FORMATTED_ENTRY_BYTES, "its formatted JSON entries"),
+    "pmpo": (32, "two dense dim B_k x dim B_k arrays"),
+}
+
+
 @pytest.mark.parametrize("command,flag", [("relcomm", "--basis"), ("pmpo", "--dump")])
 def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, command, flag):
-    # trivial 3 at k=2: an 81 x 81 matrix is 0.2 MiB as two complex arrays,
-    # about 1.1 MiB once formatted into a JSON report
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 1 << 20)
-    argv = (command, "--builtin", "trivial 3", "-k", "2", flag, "--format")
-    code, out, err = run(capsys, *argv, "json")
+    # trivial 3 at k=2: an 81 x 81 matrix
+    entry_bytes, purpose = MATRIX_REPORT_CHECKS[command]
+    need = entry_bytes * 81 ** 2
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    argv = (command, "--builtin", "trivial 3", "-k", "2", flag, "--format", "json")
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
-    assert "for its formatted JSON entries" in err
-    code, out, _ = run(capsys, *argv, "table")
+    assert f"for {purpose}" in err
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert "81" in out
+    assert json.loads(out)["dim"] == 81
 
 
 def test_a_refused_report_writes_no_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 1 << 20)
+    need = biunitary.cli.FORMATTED_ENTRY_BYTES * 81 ** 2
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
     path = tmp_path / "F"
-    code, out, err = run(capsys, "relcomm", "--builtin", "trivial 3", "-k", "2", "--basis",
-                         "--format", "json", "--out", str(path))
+    argv = ("relcomm", "--builtin", "trivial 3", "-k", "2", "--basis", "--out", str(path))
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert not path.exists()
+    # the table report prints no basis, so it formats none
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert "string space dimension 81" in path.read_text()

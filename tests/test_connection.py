@@ -66,6 +66,31 @@ class TestGamma:
         assert renormalize(c, "prime").gamma == c.gamma
 
 
+class TestBase:
+    @pytest.mark.parametrize("base", ["1:2", "3:2", "0:9", 1])
+    def test_base_must_be_a_source_vertex_of_the_top_graph(self, base):
+        c = build_dynkin("A3")
+        with pytest.raises(ConnectionError,
+                           match=r"^base = .* is not a source vertex of the top graph$"):
+            Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values,
+                       gamma=c.gamma, base=base)
+
+    @pytest.mark.parametrize("kind", ["prime", "bar", "bar_prime"])
+    def test_renormalizations_drop_the_base(self, kind):
+        c = build_dynkin("A4")
+        r = renormalize(c, kind)
+        assert r.base is None
+        assert r.gamma == c.gamma
+        assert not set(r.top.src_vertices) & set(c.top.src_vertices)
+
+    def test_square_validation_needs_gamma_and_base(self):
+        c = build_dynkin("A3")
+        for d in (Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values, base=c.base),
+                  Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values, gamma=c.gamma)):
+            with pytest.raises(ConnectionError, match="^square validation needs "):
+                validate_square(d)
+
+
 class TestValues:
     def test_a3_cell_with_matching_corners(self):
         c = build_dynkin("A3")
@@ -262,7 +287,7 @@ class TestBuilders:
         c = build_dynkin(name)
         rep = check_biunitarity(c, 1e-10)
         assert rep.passed and rep.max_residual < 1e-14
-        assert validate_square(c.scheme()).max_residual < 1e-14
+        assert validate_square(c).max_residual < 1e-14
 
     def test_dynkin_unknown_raises(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,19 @@ class TestHomSpace:
             assert np.array_equal(got[2], exp[2]) and np.array_equal(got[3], exp[3])
         assert prob.residual(_hom_kernel(prob)) < HOM_RESIDUAL_EPS
 
+    def test_a_problem_built_but_not_solved_reads_no_cell(self, monkeypatch):
+        wt = wtilde(build_dynkin("A4"))
+        read = []
+        cell_matrix = type(wt).cell_matrix
+        monkeypatch.setattr(type(wt), "cell_matrix",
+                            lambda c, t, b: read.append((t, b)) or cell_matrix(c, t, b))
+        prob = _HomProblem(wt, wt)
+        assert prob.n_var and prob.keys
+        assert read == []
+        # solving reads the cells once per constraint pair and side
+        assert len(_hom_kernel(prob)) == 2  # A4: W W-bar is 1 + a1
+        assert len(read) == 2 * len(prob.pairs) > 0
+
 
 class TestSplitting:
     def test_irreducible_yields_identity_projection(self):
@@ -458,25 +471,23 @@ class TestIntegerFusion:
 class TestStatistics:
     def test_a3_profiles_are_exactly_balanced(self, systems):
         s = systems("dynkin:A3")
-        scheme = s.wn.scheme()
         for n in range(1, 7):
-            st = sector_statistics(s.fd, scheme, n)
+            st = sector_statistics(s.fd, s.wn, n)
             for x in s.fd.v0:
                 assert abs(st.kappa[x] - 1 / math.sqrt(2)) < 1e-12
             for a in s.fd.labels:
                 assert abs(st.lam[a] - 1 / math.sqrt(2)) < 1e-12
-        st3 = sector_statistics(s.fd, scheme, 3)
+        st3 = sector_statistics(s.fd, s.wn, 3)
         assert st3.power_multiplicities == {"a0": 4, "a1": 4}
         assert st3.path_counts == {"0:1": 4, "0:3": 4}
 
     def test_a4_profiles_converge(self, systems):
         s = systems("dynkin:A4")
-        scheme = s.wn.scheme()
         sqw = math.sqrt(s.fd.w)
-        st10 = sector_statistics(s.fd, scheme, 10)
+        st10 = sector_statistics(s.fd, s.wn, 10)
         for x in s.fd.v0:
             assert abs(st10.kappa[x] - s.fd.mu[x] / sqw) < 1e-3
-        st6 = sector_statistics(s.fd, scheme, 6)
+        st6 = sector_statistics(s.fd, s.wn, 6)
         for a in s.fd.labels:
             assert abs(st6.lam[a] - s.fd.d[a] / sqw) < 1e-2
 

@@ -135,22 +135,23 @@ def test_enumerate_paths_matches_counts():
 
 
 def test_validate_square_a3_passes():
-    rep = validate_square(build_dynkin("A3").scheme())
+    rep = validate_square(build_dynkin("A3"))
     assert rep.passed
     assert rep.max_residual < 1e-12
 
 
 def test_validate_square_perturbed_weight_fails():
-    s = build_dynkin("A3").scheme()
-    s.mu["1:2"] += 0.1
-    s.mu["3:2"] += 0.1
-    rep = validate_square(s)
+    c = build_dynkin("A3")
+    mu = dict(c.mu)
+    mu["1:2"] += 0.1
+    mu["3:2"] += 0.1
+    rep = validate_square(c.with_mu(mu))
     assert not rep.passed
     assert 0.05 < rep.max_residual < 0.5
 
 
 def test_validate_square_trivial():
-    rep = validate_square(build_trivial(2).scheme())
+    rep = validate_square(build_trivial(2))
     assert rep.passed
 
 

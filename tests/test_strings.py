@@ -237,6 +237,55 @@ class TestFlatFields:
                             assert np.max(np.abs(got - want)) < 1e-10
 
 
+def st2_distance(res, wn, vecs):
+    """The st-2 distance of each column of `vecs` to the flat space of `res`,
+    relative to the largest st-2 norm of the columns (a product of two flat
+    fields may vanish, and then only its rounding is left)."""
+    g = _st2_gram(res.basis, wn, res.basis.k)
+    rest = vecs - st2_projector(res.vectors, g) @ vecs
+    norms = np.sum(np.abs(vecs) ** 2 * g[:, None], axis=0)
+    return np.sqrt(np.sum(np.abs(rest) ** 2 * g[:, None], axis=0) / np.max(norms))
+
+
+def embed_one_level(lower, upper, vecs):
+    """Fields on B_{k-1} carried to B_k by f(p, q) -> f(pe, qe), the new last
+    edge e summed: a string whose two paths end in one edge takes the value
+    of the string of their prefixes, every other string zero."""
+    short, long_ = lower.pathset.paths[lower.k], upper.pathset.paths[upper.k]
+    index = {(short[i], short[j]): n for n, (i, j) in enumerate(zip(lower.p1_idx, lower.p2_idx))}
+    out = np.zeros((upper.dim, vecs.shape[1]), dtype=complex)
+    for n, (i, j) in enumerate(zip(upper.p1_idx, upper.p2_idx)):
+        p, q = long_[i], long_[j]
+        if p[-1] == q[-1]:
+            out[n] = vecs[index[(p[:-1], q[:-1])]]
+    return out
+
+
+class TestFlatTower:
+    """The flat spaces F_1 ⊂ F_2 ⊂ F_3 form a tower of *-algebras."""
+
+    @pytest.mark.parametrize("name", ["dynkin:A4", "dynkin:D5", "dynkin:E6"])
+    def test_closed_under_product_and_adjoint(self, systems, name):
+        wn = systems(name).wn
+        for k in (1, 2, 3):
+            res = flat_fields(wn, k)
+            fields = res.fields()
+            made = [f @ h for f in fields for h in fields] + [f.star() for f in fields]
+            dist = st2_distance(res, wn, np.stack([f.vec for f in made], axis=1))
+            assert np.max(dist) < 1e-12
+
+    @pytest.mark.parametrize("name", ["dynkin:A4", "dynkin:D5", "dynkin:E6"])
+    def test_each_level_embeds_in_the_next(self, systems, name):
+        wn = systems(name).wn
+        lower = flat_fields(wn, 1)
+        for k in (2, 3):
+            upper = flat_fields(wn, k)
+            up = embed_one_level(lower.basis, upper.basis, lower.vectors)
+            assert np.linalg.matrix_rank(up) == lower.dimension
+            assert np.max(st2_distance(upper, wn, up)) < 1e-12
+            lower = upper
+
+
 def root_block(conn, k):
     """dim B_k(*) of the flat solve's root: the smallest base-vertex block."""
     dims = {}
