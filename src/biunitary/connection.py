@@ -19,6 +19,7 @@ import cmath
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -337,9 +338,9 @@ def _eigen_residuals(g: LayeredGraph, mu: dict[str, float], gamma: float) -> tup
 def validate_square(conn: Connection, tol: float = DEFAULT_TOL) -> SquareReport:
     """Connectivity, the eight eigenvalue equations (``gamma[0]`` horizontal,
     ``gamma[1]`` vertical) and ``gamma > 1``; :class:`Connection` checks the
-    rest.  Raises unless the connection carries ``gamma`` and a base."""
-    if conn.gamma is None or conn.base is None:
-        raise ConnectionError("square validation needs a connection with gamma and a base")
+    rest.  Raises unless the connection carries ``gamma``."""
+    if conn.gamma is None:
+        raise ConnectionError("square validation needs a connection with gamma")
     gamma1, gamma2 = conn.gamma
     rep = SquareReport()
     pairs = [("g", conn.top, gamma1), ("g_prime", conn.bottom, gamma1),
@@ -490,26 +491,49 @@ def horizontal_product(leftc: Connection, rightc: Connection) -> Connection:
 
 # -- builders ---------------------------------------------------------------
 
-_DYNKIN_COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
-                   "E": {6: 12, 7: 18, 8: 30}}
+def _square(edges, weights):
+    """The four graphs of one bipartite graph around a square, and their weights.
+
+    Each edge is ``(id, reversed id, even vertex, odd vertex)``.  G (0 -> 3)
+    and H (0 -> 1) run from the even class to the odd one under ``G:id`` and
+    ``H:id``; Gp (1 -> 2) and Hp (3 -> 2) run back under the reversed id.
+    Vertex ``v`` on layer ``l`` is ``"l:v"`` with weight ``weights[v]``.
+    Returns ``(G, H, Gp, Hp, mu)``, in the argument order of
+    :class:`Connection`.
+    """
+    def graph(name: str, sl: int, rl: int, back: bool) -> LayeredGraph:
+        ends = [(r, o, u) if back else (e, u, o) for e, r, u, o in edges]
+        verts = [(f"{sl}:{s}", sl) for _, s, _ in ends] + [(f"{rl}:{t}", rl) for _, _, t in ends]
+        return LayeredGraph(name, verts, [(f"{name}:{i}", f"{sl}:{s}", f"{rl}:{t}")
+                                          for i, s, t in ends], sl, rl)
+
+    square = (graph("G", 0, 3, False), graph("H", 0, 1, False),
+              graph("Gp", 1, 2, True), graph("Hp", 3, 2, True))
+    mu = {v: weights[v.split(":", 1)[1]] for g in square for v, _ in g.vertices}
+    return (*square, mu)
 
 
-def _dynkin_edges(family: str, n: int) -> list[tuple[str, str]]:
+def _dynkin_edges(diagram: str) -> tuple[str, list[tuple[str, str]], int]:
+    """Name, edges and Coxeter number of an A-D-E diagram named like ``A3`` or ``e_6``."""
+    d = diagram.replace("_", "").strip().upper()
+    m = re.fullmatch(r"([ADE])([0-9]+)", d)
+    if m is None:
+        raise ValueError(f"unknown Dynkin diagram {diagram!r}: "
+                         f"want a family letter A, D or E followed by a rank")
+    family, n = m[1], int(m[2])
     if family == "A":
         if n < 2:
             raise ValueError("A_n needs n >= 2")
-        return [(str(i), str(i + 1)) for i in range(1, n)]
+        return d, [(str(i), str(i + 1)) for i in range(1, n)], n + 1
     if family == "D":
         if n < 4:
             raise ValueError("D_n needs n >= 4")
         chain = [(str(i), str(i + 1)) for i in range(1, n - 2)]
-        return chain + [(str(n - 2), str(n - 1)), (str(n - 2), str(n))]
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6, 7, 8}")
-        chain = [(str(i), str(i + 1)) for i in range(1, n - 1)]
-        return chain + [("3", str(n))]
-    raise ValueError(f"unknown Dynkin family {family!r}")
+        return d, chain + [(str(n - 2), str(n - 1)), (str(n - 2), str(n))], 2 * n - 2
+    if n not in (6, 7, 8):
+        raise ValueError("E_n needs n in {6, 7, 8}")
+    chain = [(str(i), str(i + 1)) for i in range(1, n - 1)]
+    return d, chain + [("3", str(n))], {6: 12, 7: 18, 8: 30}[n]
 
 
 def _two_color(edges: list[tuple[str, str]]) -> dict[str, int]:
@@ -537,94 +561,51 @@ def build_dynkin(diagram: str, base: str | None = None) -> Connection:
     delta(x, w) conj(eps) with eps on the unit circle determined by the
     Coxeter number N, and gamma1 = gamma2 = 2 cos(pi / N).
     """
-    d = diagram.replace("_", "").strip().upper()
-    family, n = d[0], int(d[1:])
-    edges = _dynkin_edges(family, n)
-    coxeter = _DYNKIN_COXETER["E"][n] if family == "E" else _DYNKIN_COXETER[family](n)
+    d, edges, coxeter = _dynkin_edges(diagram)
     color = _two_color(edges)
     even = sorted(v for v, c in color.items() if c == 0)
-    odd = sorted(v for v, c in color.items() if c == 1)
     base = str(base) if base is not None else even[0]
     if base not in even:
         raise ValueError(f"base vertex {base!r} is not in the even class {even}")
+    oriented = [(a, b) if color[a] == 0 else (b, a) for a, b in edges]   # (even, odd)
 
     # Perron-Frobenius data of the diagram, even side -> odd side
-    diagram_graph = LayeredGraph(
-        d, [(v, 0) for v in even] + [(v, 1) for v in odd],
-        [(f"{a}-{b}", a, b) if color[a] == 0 else (f"{b}-{a}", b, a) for a, b in edges],
-        0, 1)
-    lam, weights = perron_frobenius(diagram_graph, base=base)
-
-    def vid(layer: int, v: str) -> str:
-        return f"{layer}:{v}"
-
-    def graph(gname: str, src_layer: int, rng_layer: int, flip: bool) -> LayeredGraph:
-        verts = [(vid(src_layer, v), src_layer) for v in (odd if flip else even)]
-        verts += [(vid(rng_layer, v), rng_layer) for v in (even if flip else odd)]
-        es = []
-        for a, b in edges:
-            u, o = (a, b) if color[a] == 0 else (b, a)
-            if flip:
-                es.append((f"{gname}:{o}-{u}", vid(src_layer, o), vid(rng_layer, u)))
-            else:
-                es.append((f"{gname}:{u}-{o}", vid(src_layer, u), vid(rng_layer, o)))
-        return LayeredGraph(gname, verts, es, src_layer, rng_layer)
-
-    g = graph("G", 0, 3, flip=False)
-    h = graph("H", 0, 1, flip=False)
-    g_prime = graph("Gp", 1, 2, flip=True)
-    h_prime = graph("Hp", 3, 2, flip=True)
-
-    mu = {}
-    for layer, cls in ((0, even), (1, odd), (2, even), (3, odd)):
-        for v in cls:
-            mu[vid(layer, v)] = weights[v]
+    lam, weights = perron_frobenius(LayeredGraph(
+        d, [(u, 0) for u, _ in oriented] + [(o, 1) for _, o in oriented],
+        [(f"{u}-{o}", u, o) for u, o in oriented], 0, 1), base=base)
+    g, h, g_prime, h_prime, mu = _square(
+        [(f"{u}-{o}", f"{o}-{u}", u, o) for u, o in oriented], weights)
 
     eps = 1j * np.exp(1j * math.pi / (2 * coxeter))
     values = {}
-    for t_e, t_s, t_r in g.edges:
-        x, y = t_s.split(":", 1)[1], t_r.split(":", 1)[1]
-        for l_e, l_s, l_r in h.edges:
-            if l_s != t_s:
-                continue
-            z = l_r.split(":", 1)[1]
-            for b_e, b_s, b_r in g_prime.edges:
-                if b_s != l_r:
-                    continue
-                w = b_r.split(":", 1)[1]
-                r_edges = h_prime.edges_between(t_r, b_r)
-                if not r_edges:
-                    continue
-                (r_e,) = r_edges
-                v = 0j
-                if y == z:
-                    v += eps
-                if x == w:
-                    v += math.sqrt(weights[y] * weights[z] / (weights[x] * weights[w])) * eps.conjugate()
-                if v != 0:
-                    values[(l_e, t_e, r_e, b_e)] = v
+    for t_e, x, y in g.edges:
+        for l_e in h.edges_from(x):
+            z = h.range(l_e)
+            for b_e in g_prime.edges_from(z):
+                w = g_prime.range(b_e)
+                for r_e in h_prime.edges_between(y, w):
+                    # ids are "layer:vertex"; the deltas compare diagram vertices
+                    v = 0j
+                    if y[2:] == z[2:]:
+                        v += eps
+                    if x[2:] == w[2:]:
+                        v += math.sqrt(mu[y] * mu[z] / (mu[x] * mu[w])) * eps.conjugate()
+                    if v != 0:
+                        values[(l_e, t_e, r_e, b_e)] = v
     return Connection(g, h, g_prime, h_prime, mu, values,
-                      gamma=(lam, lam), base=vid(0, base), name=d)
+                      gamma=(lam, lam), base=f"0:{base}", name=d)
 
 
 def build_trivial(d: int) -> Connection:
     """One vertex per layer, d parallel edges per graph, delta-valued cells."""
     if d < 2:
         raise ValueError("the trivial connection needs d >= 2 (graphs must have more than one edge)")
-
-    def graph(gname: str, sl: int, rl: int) -> LayeredGraph:
-        return LayeredGraph(gname, [(f"{sl}:x", sl), (f"{rl}:x", rl)],
-                            [(f"{gname}:{j}", f"{sl}:x", f"{rl}:x") for j in range(d)], sl, rl)
-
-    g, h = graph("G", 0, 3), graph("H", 0, 1)
-    g_prime, h_prime = graph("Gp", 1, 2), graph("Hp", 3, 2)
-    mu = {f"{layer}:x": 1.0 for layer in range(4)}
     values = {}
     for i in range(d):       # top == bottom index
         for j in range(d):   # left == right index
             values[(f"H:{j}", f"G:{i}", f"Hp:{j}", f"Gp:{i}")] = 1.0
-    return Connection(g, h, g_prime, h_prime, mu, values,
-                      gamma=(float(d), float(d)), base="0:x", name=f"trivial{d}")
+    return Connection(*_square([(str(j), str(j), "x", "x") for j in range(d)], {"x": 1.0}),
+                      values, gamma=(float(d), float(d)), base="0:x", name=f"trivial{d}")
 
 
 def build_cyclic_group(n: int) -> Connection:
@@ -637,31 +618,14 @@ def build_cyclic_group(n: int) -> Connection:
     """
     if n < 2:
         raise ValueError("cyclic group connection needs n >= 2")
-
-    def star(gname: str, sl: int, rl: int, out_is_src: bool) -> LayeredGraph:
-        outs = [(f"{sl if out_is_src else rl}:{g}", sl if out_is_src else rl) for g in range(n)]
-        center_layer = rl if out_is_src else sl
-        verts = outs + [(f"{center_layer}:c", center_layer)]
-        es = []
-        for g in range(n):
-            if out_is_src:
-                es.append((f"{gname}:{g}", f"{sl}:{g}", f"{rl}:c"))
-            else:
-                es.append((f"{gname}:{g}", f"{sl}:c", f"{rl}:{g}"))
-        return LayeredGraph(gname, verts, es, sl, rl)
-
-    g = star("G", 0, 3, out_is_src=True)
-    h = star("H", 0, 1, out_is_src=True)
-    g_prime = star("Gp", 1, 2, out_is_src=False)
-    h_prime = star("Hp", 3, 2, out_is_src=False)
-    mu = {f"0:{g_}": 1.0 for g_ in range(n)} | {f"2:{g_}": 1.0 for g_ in range(n)}
-    mu["1:c"] = mu["3:c"] = math.sqrt(n)
     values = {}
     for a in range(n):
         for b in range(n):
             values[(f"H:{a}", f"G:{a}", f"Hp:{b}", f"Gp:{b}")] = np.exp(2j * math.pi * a * b / n)
-    return Connection(g, h, g_prime, h_prime, mu, values,
-                      gamma=(math.sqrt(n), math.sqrt(n)), base="0:0", name=f"Z{n}")
+    outer = [str(a) for a in range(n)]
+    return Connection(*_square([(a, a, a, "c") for a in outer],
+                               dict.fromkeys(outer, 1.0) | {"c": math.sqrt(n)}),
+                      values, gamma=(math.sqrt(n), math.sqrt(n)), base="0:0", name=f"Z{n}")
 
 
 def build_identity(horizontal: LayeredGraph, mu: dict[str, float]) -> Connection:
@@ -771,6 +735,10 @@ def connection_from_document(doc: dict) -> Connection:
                   complex(float(rec["re"]), float(rec["im"])) for rec in doc["values"]}
         where = "gamma"
         gamma = (float(doc["gamma"][0]), float(doc["gamma"][1])) if "gamma" in doc else None
+        where = "name"
+        name = doc.get("name", "")
+        if not isinstance(name, str):
+            raise TypeError(f"{name!r} is not a string")
     except GraphError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
@@ -785,7 +753,7 @@ def connection_from_document(doc: dict) -> Connection:
             raise ConnectionError(f"document carries no weights and none can be "
                                   f"derived: {err}") from err
     return Connection(graphs["top"], graphs["left"], graphs["bottom"], graphs["right"],
-                      mu, values, gamma=gamma, base=base, name=doc.get("name", ""))
+                      mu, values, gamma=gamma, base=base, name=name)
 
 
 def write_connection(conn: Connection, path) -> None:

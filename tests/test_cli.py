@@ -157,6 +157,12 @@ def test_same_seed_byte_identical(capsys):
 def test_unknown_builtin_is_input_error(capsys):
     code, _, _ = run(capsys, "check", "--builtin", "octonion 3")
     assert code == 2
+    for args in (["builtin", "dynkin", "_"], ["builtin", "dynkin", ""],
+                 ["builtin", "dynkin", "E"], ["builtin", "dynkin", "A3x"],
+                 ["check", "--builtin", "dynkin _"]):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), args
 
 
 def test_invalid_tolerance_is_input_error(capsys):

@@ -1,7 +1,10 @@
 """Connection values, unitarity checks, renormalizations, products, builders."""
 
 import cmath
+import hashlib
+import json
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from biunitary import (
     build_trivial,
     check_biunitarity,
     check_unitarity,
+    connection_to_document,
     extended_value,
     hom_space,
     horizontal_product,
@@ -24,8 +28,67 @@ from biunitary import (
     validate_square,
     vertical_product,
 )
+from biunitary.cli import _build_builtin
 
 EPS_A3 = 1j * cmath.exp(1j * math.pi / 8)
+
+
+# sha256 of the sorted-key JSON document of each builtin of tools/reports.py, of
+# the document of its vertical product with its bar renormalization, and of its
+# cells in insertion order, the order in which products add cell products
+PINNED = {
+    "dynkin A3": ("17a57d497145a6b18217176350de840122e58c5437660de9d4b697ca81e8549e",
+                  "2c01cd2b1c45d253df32467cd492f82adb966460f8b6e3d75e5a81d4deaa6bbe",
+                  "c1d2e3fbed5755cf88719b0328985dee287ef9898fdf97611c12ff93ab82a796"),
+    "dynkin A4": ("168d3e041a84c8dcd039710e000ef8dd256e04f0d755a71efb1f3b7dd5e62b11",
+                  "8e63a8ec193695521b20ef5c07748de9e312081e0976bcb322df96deeb055dc3",
+                  "4fcbe6b2775c2ca45381d3b7180862ac77b6dc054f7e6de965da70fe8b090e90"),
+    "dynkin A5": ("a5974811935164843bb7b5a6ec10204aa68cbab670d15bf141a45e78884472ab",
+                  "7975e0fe485bfbc417c3d099888b3d1c97b50fcb2a613a64373707dd5c576f8f",
+                  "bdc755fea43ecc6a3355b706cad9fbcbbefbce23ed864fe73712776772f77d0f"),
+    "dynkin A6": ("155de4d6261288e9fefb7723be0045ca021d980d1171706b5687a43914b84735",
+                  "2475ef6f9b4e2acb9b11603516c52aa1b97a10f90e749ca479f5c5a60a040e8c",
+                  "c10d832a2eb66171e5b0a0b0171186be867668b85f5c36ae80f6a9863b000735"),
+    "dynkin A7": ("6335af432637e9553ece6dcf5df7bf530b881e553bc275c81ccf4204798f1de7",
+                  "0a2e8d51c1bb7a295fc763435ff110f98c917625c9660634e3fef709c8b93385",
+                  "abdc39329e9d86e8ec4b47a21eef877401039db249f99186c2a70ffd8a2cb644"),
+    "dynkin D4": ("13bc80e7de3d4e23e3c705c5567891caa4cd57eb7d504c0586b5030821303bdd",
+                  "d3914aa11b408c607e6649ac88f196d976b417558ae2d1a00281652e6d4bec7e",
+                  "f28d4489a0a63fcce709b8ed8d979fe315dbfa3e19455364513f027419a9c22f"),
+    "dynkin D5": ("aefdcd393486688ede0b0323bd422bf4e399fe6eeb595035ee672f5c2982577b",
+                  "d3530754eba61d16d33bd388e29e6d321ef1043f4407be62ddbfef902e973361",
+                  "26b2745256efb14ba928d02443142a6f6447ca3c14ba2761ffb8935fbdc098b7"),
+    "dynkin E6": ("e223cf380fefda672dcac370c0bbf29f459d5c0ed6e23b04ae90d083e3b48e9f",
+                  "63bcc99a50a89c0ed76cdb521ccab3e39d166b364de86c2c3e2231e915f89e96",
+                  "49f572b9f881af51aae631c63ed85f9ca805add425920742f8ffafbc555e70f5"),
+    "trivial 2": ("ef3e0e431afa6bc546765a59484ab5ff64b54c4d32154a2b312f6385037a62fb",
+                  "bef316baaccea758040344a1ecfe5accdaf1fa6139d6da5787b11f4d0def7a12",
+                  "c47a64d98b7943d503b908fd908ee67447d9a49bdc5f322cd22977d01d64e7d8"),
+    "trivial 3": ("c5b3655c1cdfe84166fe7e58b279f16db84846ce1ba996314029d991c668af36",
+                  "4b635a2394bf6196c1d9351140bf2522312612950120f7a99245e2923ed3246b",
+                  "5023dfee8268bc0525fb1578a03d8c0e26c8fe289ebb59ce6fe56772148b1de8"),
+    "cyclic 2": ("7a845a0c9465a53b428c3226ee355f6cd40cd787da1b6179a194f718782fc13f",
+                 "5a2a6f74b610bd366f7b00ef17269fa6792a7788850228ccce44cb3daca10966",
+                 "80c0990b9c92e02cbed99b80e3aa8b5144594c555a8a3d0d139636ac03a7ca30"),
+    "cyclic 3": ("8bae5f1e1d57f95761614895b3277f0840499e48fc209555f357654ae28eebc1",
+                 "541b20aa5f0ebee84c4844d5bb14710ced70216abb2ab20856e6398ec79a7273",
+                 "b8befadb2ef241bb0a13c9ad425a2accea4b06f30a2e19796916a06497ec64f2"),
+    "cyclic 4": ("4e10e5a0019e217487c6f739079cbee81b38960496ca7659bf2f1fbdf59bcd2d",
+                 "c67983ae56dbf662d0bcb57fcc2db6a08f66b575ef56ac122b9741f5a9a79721",
+                 "c802d9e175755e1007d68946d03ef829097d6910d72563ab8ed75bfc4c815fff"),
+    "cyclic 5": ("6c51f6311905a43b3a85d672b100a595366b549bde3a20b12137ef17c3d77aa5",
+                 "d369030918555582bac4343eb393dda10f7aff13855ff999343b498cbcc9a2b9",
+                 "d89c9d2fcbe1352acab76da6bce6bbf9166c32dde77f042f4d3e18197ec341e9"),
+    "dynkin E7": ("3627597d09a652dd708658787708d202772dcb5b464b07c5d6bf07cc3ac0db28",
+                  "2715ee4e85923ba180742a8e300300efa5ac2bfbbc803a989041162dd701373d",
+                  "07e9794f310e6aa9a7609b3dccf9b825fae7a64524456a221be9cb873952a4d0"),
+    "dynkin A11": ("f48146c69e2a4e8af578e02f81305697165eb693e6039d6cbdaf8f8c9b87c942",
+                   "58a029c80dba0e21212228c439cc68d2bdc055007f251f273f9d19c8d8cbaf1d",
+                   "250e65456cc771f14ae93b146983dc2afc8e27461d56cb485c7bd0be3fec468e"),
+    "dynkin A15": ("7d89d98e383ba3d645f0e0d37bf9d22384531ca8275d74e5f91761de6d9c3d4a",
+                   "29470ce1a611c0941564350e24ce9a59ec878e7839bc7ed63f497c3b1e4c1760",
+                   "0f90f3c117072953c64004864b3a2d663446b69871df6fb4f39dd10657a298b2"),
+}
 
 
 def table_diff(a: Connection, b: Connection) -> float:
@@ -83,12 +146,21 @@ class TestBase:
         assert r.gamma == c.gamma
         assert not set(r.top.src_vertices) & set(c.top.src_vertices)
 
-    def test_square_validation_needs_gamma_and_base(self):
+    def test_square_validation_needs_gamma_not_base(self):
         c = build_dynkin("A3")
-        for d in (Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values, base=c.base),
-                  Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values, gamma=c.gamma)):
-            with pytest.raises(ConnectionError, match="^square validation needs "):
-                validate_square(d)
+        d = Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values, gamma=c.gamma)
+        assert validate_square(d).passed
+        d = Connection(c.top, c.left, c.bottom, c.right, c.mu, c.values, base=c.base)
+        with pytest.raises(ConnectionError, match="^square validation needs "):
+            validate_square(d)
+
+    @pytest.mark.parametrize("conn", [build_dynkin("A4"), build_dynkin("D5"), build_dynkin("E6"),
+                                      build_trivial(3), build_cyclic_group(4)],
+                             ids=attrgetter("name"))
+    @pytest.mark.parametrize("kind", ["prime", "bar", "bar_prime"])
+    def test_renormalizations_pass_square_validation(self, conn, kind):
+        rep = validate_square(renormalize(conn, kind))
+        assert rep.passed and rep.max_residual < 1e-14
 
 
 class TestValues:
@@ -327,6 +399,16 @@ class TestBuilders:
     def test_cyclic_rejects_small(self):
         with pytest.raises(ValueError):
             build_cyclic_group(1)
+
+    @pytest.mark.parametrize("spec", PINNED)
+    def test_builtin_documents_and_cell_order_are_pinned(self, spec):
+        # each cell of this product is one term (the horizontal graphs are simple,
+        # or the cells deltas), so its digest does not see the cell order
+        c = _build_builtin(spec.split())
+        texts = [json.dumps(connection_to_document(d), sort_keys=True)
+                 for d in (c, vertical_product(c, renormalize(c, "bar")))]
+        texts.append(json.dumps([list(cell) for cell in c.values]))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == PINNED[spec]
 
     def test_identity_connection_exact(self):
         c = build_dynkin("A3")

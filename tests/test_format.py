@@ -122,6 +122,8 @@ def _a3_with(field, value):
     (lambda: _a3_with("gamma", ["2"]), "missing or invalid field 'gamma' (IndexError: "),
     (lambda: _a3_with("base", "0:9"),
      "base = '0:9' is not a source vertex of the top graph"),
+    (lambda: _a3_with("name", 3), "missing or invalid field 'name' (TypeError: "),
+    (lambda: _a3_with("name", ["A3"]), "missing or invalid field 'name' (TypeError: "),
 ])
 def test_malformed_documents_name_the_field(tmp_path, capsys, make, message):
     with pytest.raises(ConnectionError) as err:
