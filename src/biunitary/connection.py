@@ -193,10 +193,6 @@ class Connection:
             raise ConnectionError("corner-pair dimension matching fails: "
                                   "left*bottom and top*right path counts differ")
 
-    def corners(self, cell: Cell) -> tuple[str, str, str, str]:
-        """Corner vertices (x, y, z, w) of a valid cell."""
-        return self._check_cell(cell)
-
     # -- values ------------------------------------------------------------
 
     def value(self, cell) -> complex:
@@ -242,7 +238,6 @@ class Connection:
 @dataclass
 class UnitarityReport:
     block_residuals: dict[tuple[str, str], float] = field(default_factory=dict)
-    mismatched_blocks: list[tuple[str, str, int, int]] = field(default_factory=list)
     tol: float = DEFAULT_TOL
 
     @property
@@ -251,7 +246,7 @@ class UnitarityReport:
 
     @property
     def passed(self) -> bool:
-        return not self.mismatched_blocks and self.max_residual < self.tol
+        return self.max_residual < self.tol
 
 
 @dataclass
@@ -289,7 +284,7 @@ def check_unitarity(conn: Connection, tol: float = DEFAULT_TOL) -> UnitarityRepo
     For each pair (x, w) the matrix U has rows indexed by composable
     (top, right) edge pairs from x to w and columns by composable
     (left, bottom) pairs; both U U* - 1 and U* U - 1 residuals are recorded
-    in max norm.  Non-square blocks are reported, not raised.
+    in max norm; every block is square, as :class:`Connection` checks.
     """
     rep = UnitarityReport(tol=tol)
     for x in conn.x_vertices:
@@ -300,10 +295,7 @@ def check_unitarity(conn: Connection, tol: float = DEFAULT_TOL) -> UnitarityRepo
             cols = [(l, b)
                     for l in conn.left.edges_from(x)
                     for b in conn.bottom.edges_between(conn.left.range(l), w)]
-            if not rows and not cols:
-                continue
-            if len(rows) != len(cols):
-                rep.mismatched_blocks.append((x, w, len(rows), len(cols)))
+            if not rows:
                 continue
             u = np.zeros((len(rows), len(cols)), dtype=complex)
             for i, (t, r) in enumerate(rows):
@@ -367,7 +359,7 @@ def validate_square(conn: Connection, tol: float = DEFAULT_TOL) -> SquareReport:
 
 
 def _mu_factor(conn: Connection, cell: Cell) -> float:
-    x, y, z, w = conn.corners(cell)
+    x, y, z, w = conn._check_cell(cell)
     mu = conn.mu
     return math.sqrt((mu[x] * mu[w]) / (mu[y] * mu[z]))
 
@@ -704,6 +696,13 @@ def _derive_mu(graphs: dict[str, LayeredGraph], base: str | None) -> dict[str, f
     return mu
 
 
+def _number(x) -> float:
+    """``float(x)``, refusing a boolean: a JSON ``true`` is not the number 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def connection_from_document(doc: dict) -> Connection:
     """The connection of an interchange document.
 
@@ -729,12 +728,18 @@ def connection_from_document(doc: dict) -> Connection:
                                         [(e["id"], e["src"], e["dst"]) for e in spec["edges"]],
                                         spec["source_layer"], spec["range_layer"])
         where = "mu"
-        mu = {v: float(s) for v, s in doc.get("mu", {}).items()}
+        mu = {v: _number(s) for v, s in doc.get("mu", {}).items()}
         where = "values"
         values = {(rec["left"], rec["top"], rec["right"], rec["bottom"]):
-                  complex(float(rec["re"]), float(rec["im"])) for rec in doc["values"]}
+                  complex(_number(rec["re"]), _number(rec["im"])) for rec in doc["values"]}
         where = "gamma"
-        gamma = (float(doc["gamma"][0]), float(doc["gamma"][1])) if "gamma" in doc else None
+        gamma = None
+        if "gamma" in doc:
+            if not isinstance(doc["gamma"], list):
+                raise TypeError(f"{doc['gamma']!r} is not a list")
+            if len(doc["gamma"]) != 2:
+                raise IndexError(f"{len(doc['gamma'])} entries, not 2")
+            gamma = (_number(doc["gamma"][0]), _number(doc["gamma"][1]))
         where = "name"
         name = doc.get("name", "")
         if not isinstance(name, str):

@@ -25,7 +25,7 @@ from .connection import (
     renormalize,
     vertical_product,
 )
-from .graphs import LayeredGraph, count_paths, alternating
+from .graphs import LayeredGraph, count_paths
 from .nullspace import (
     ADJOINT_CLOSURE_EPS,
     BIUNITARITY_FLOOR,
@@ -608,7 +608,7 @@ def sector_statistics(fd: FusionData, w_conn: Connection, n: int) -> SectorStati
     """
     if w_conn.base is None:
         raise ConnectionError("sector statistics need a connection with a base vertex")
-    counts = count_paths(alternating(w_conn.left, 2 * n), w_conn.base, 2 * n)
+    counts = count_paths(w_conn.left, w_conn.base, 2 * n)
     k = {x: counts.get(x, 0) for x in fd.v0}
     alpha = math.sqrt(sum(v * v for v in k.values()))
     kappa = {x: v / alpha for x, v in k.items()}

@@ -17,7 +17,6 @@ __all__ = [
     "GraphError",
     "LayeredGraph",
     "perron_frobenius",
-    "alternating",
     "count_paths",
 ]
 
@@ -183,34 +182,19 @@ def perron_frobenius(g: LayeredGraph, base: str | None = None) -> tuple[float, d
     return lam, weights
 
 
-# -- path counting and enumeration ----------------------------------------
+# -- path counting --------------------------------------------------------
 
 
-def alternating(g: LayeredGraph, length: int) -> list[LayeredGraph]:
-    """The graph sequence [g, g~, g, ...] used for back-and-forth paths."""
-    rev = g.reverse()
-    return [g if i % 2 == 0 else rev for i in range(length)]
-
-
-def _seq_graph(seq, i: int) -> LayeredGraph:
-    return seq[i % len(seq)]
-
-
-def count_paths(seq, start: str, length: int) -> dict[str, int]:
-    """Exact number of paths of `length` steps from `start`, per end vertex.
-
-    Step ``i`` uses ``seq[i % len(seq)]``; consecutive graphs must compose
-    (range layer of one = source layer of the next).
-    """
+def count_paths(g: LayeredGraph, start: str, length: int) -> dict[str, int]:
+    """Exact number of back-and-forth paths of `length` steps on `g` from
+    `start`, per end vertex: odd steps run along the edges, even steps
+    against them."""
     counts = {str(start): 1}
     for i in range(length):
-        g = _seq_graph(seq, i)
-        if i > 0:
-            prev = _seq_graph(seq, i - 1)
-            if prev.range_layer != g.source_layer:
-                raise GraphError("incompatible layers in graph sequence")
         new: dict[str, int] = {}
-        for e, s, r in g.edges:
+        for _, s, r in g.edges:
+            if i % 2:
+                s, r = r, s
             c = counts.get(s)
             if c:
                 new[r] = new.get(r, 0) + c

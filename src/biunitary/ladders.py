@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from .connection import Connection, ConnectionError
-from .graphs import alternating, count_paths
+from .graphs import count_paths
 
 __all__ = ["PathSet", "LadderEngine", "Ladder", "grid_counts"]
 
@@ -27,8 +27,9 @@ class PathSet:
     Paths start on the source layer and alternate between the graph and its
     reversal; a path is stored as a tuple of edge ids with the traversal
     direction implied by the position parity.  Lists are sorted by start
-    vertex and then lexicographically; ``extensions[j][(e, x)]`` places the
-    extensions by e: u -> u' of the paths x -> u among the paths x -> u'.
+    vertex and then lexicographically.  ``block_paths[j][(x, u)]`` indexes
+    the paths x -> u in ``paths[j]``, keys sorted; ``extensions[j][(e, x)]`` places
+    the extensions by e: u -> u' of the paths x -> u among the paths x -> u'.
     """
 
     def __init__(self, g, max_len: int):
@@ -36,36 +37,36 @@ class PathSet:
         self.max_len = max_len
         rev = g.reverse()
         starts = sorted(set(g.src_vertices))
-        cur = [((), v) for v in starts]
-        self.paths: list[list[tuple[str, ...]]] = [[p for p, _ in cur]]
-        self.ends: list[list[str]] = [[v for _, v in cur]]
+        cur = [(v, (), v) for v in starts]      # (start, path, end)
+        self.paths: list[list[tuple[str, ...]]] = [[p for _, p, _ in cur]]
+        self.ends: list[list[str]] = [[v for _, _, v in cur]]
+        self.block_paths: list[dict[tuple[str, str], np.ndarray]] = [
+            {(v, v): np.asarray([i]) for i, v in enumerate(starts)}]
         self.extensions: list[dict[tuple[str, str], np.ndarray]] = [{}]
         for j in range(1, max_len + 1):
             traverse = g if j % 2 == 1 else rev
             nxt = []
-            for p, v in cur:
-                for e in sorted(traverse.edges_from(v)):
-                    nxt.append((p + (e,), traverse.range(e)))
-            nxt.sort(key=lambda pv: (self._start_of(pv[0]), pv[0]))
-            self.paths.append([p for p, _ in nxt])
-            self.ends.append([v for _, v in nxt])
-            counts: dict[tuple[str, str], int] = {}
+            for x, p, v in cur:
+                for e in traverse.edges_from(v):
+                    nxt.append((x, p + (e,), traverse.range(e)))
+            nxt.sort()      # by start, then path: no two paths are equal
+            self.paths.append([p for _, p, _ in nxt])
+            self.ends.append([v for _, _, v in nxt])
+            blocks: dict[tuple[str, str], list[int]] = {}
             ext: dict[tuple[str, str], list[int]] = {}
-            for p, v in nxt:
-                x = self._start_of(p)
-                ext.setdefault((p[-1], x), []).append(counts.get((x, v), 0))
-                counts[(x, v)] = ext[(p[-1], x)][-1] + 1
+            for i, (x, p, v) in enumerate(nxt):
+                idxs = blocks.setdefault((x, v), [])
+                ext.setdefault((p[-1], x), []).append(len(idxs))
+                idxs.append(i)
+            self.block_paths.append({key: np.asarray(idxs) for key, idxs in sorted(blocks.items())})
             self.extensions.append({key: np.asarray(pos) for key, pos in ext.items()})
             cur = nxt
-
-    def _start_of(self, p: tuple[str, ...]) -> str:
-        return self.graph.source(p[0])
 
 
 def grid_counts(g, k: int) -> dict[tuple[str, str], int]:
     """The grid sizes ``{(x, u): |P(x -> u)|}`` at length k, listing no path."""
     return {(x, u): n for x in sorted(set(g.src_vertices))
-            for u, n in sorted(count_paths(alternating(g, 2), x, k).items())}
+            for u, n in sorted(count_paths(g, x, k).items())}
 
 
 class Ladder:
@@ -178,7 +179,7 @@ class LadderEngine:
                  for (x, y), n in sorted(Counter((s, r) for _, s, r in left.edges).items())}
         for j in range(1, k + 1):
             trav, cols = (self.conn.top, self._odd) if j % 2 == 1 else (self._rev, self._even)
-            ext, counts = pathset.extensions[j], grid_counts(pathset.graph, j)
+            ext, blocks = pathset.extensions[j], pathset.block_paths[j]
             new: dict = {}
             for ((x, u), (y, v)), blk in state.items():
                 na, nb, np_, nq = blk.shape
@@ -189,8 +190,8 @@ class LadderEngine:
                             continue
                         key = ((x, trav.range(t)), (y, trav.range(b)))
                         if key not in new:
-                            new[key] = np.zeros((na, len(m), counts[key[0]], counts[key[1]]),
-                                                dtype=complex)
+                            new[key] = np.zeros((na, len(m), len(blocks[key[0]]),
+                                                 len(blocks[key[1]])), dtype=complex)
                         new[key][:, :, ext[(t, x)][:, None], ext[(b, y)]] += (
                             (m @ flat).reshape(na, len(m), np_, nq))
             state = new

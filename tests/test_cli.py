@@ -412,6 +412,30 @@ def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, comman
     assert json.loads(out)["dim"] == 81
 
 
+def test_oversized_builtin_is_refused_before_its_cells(capsys, monkeypatch):
+    # trivial 3 has 9 cells
+    need = biunitary.cli._BUILTIN_CELL_BYTES * 9
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    code, out, err = run(capsys, "check", "--builtin", "trivial 3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: builtin trivial 3 needs ")
+    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need)
+    code, _, _ = run(capsys, "check", "--builtin", "trivial 3")
+    assert code == 0
+    # unpatched, in a child: 10^22 cells are refused at once, not filled in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biunitary.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    prog = ("import sys\n"
+            "from biunitary.cli import main\n"
+            "sys.exit(main(['check', '--builtin', 'trivial 99999999999']))\n")
+    proc = subprocess.run([sys.executable, "-c", prog], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: builtin trivial 99999999999 needs ")
+
+
 def test_a_refused_report_writes_no_file(tmp_path, capsys, monkeypatch):
     need = biunitary.cli.FORMATTED_ENTRY_BYTES * 81 ** 2
     monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)

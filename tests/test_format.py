@@ -97,10 +97,13 @@ def _without_graphs():
 
 
 def _a3_with(field, value):
-    """The A3 document with one field replaced; ``mu`` replaces the weight of 0:1."""
+    """The A3 document with one field replaced; ``mu`` replaces the weight of 0:1,
+    ``re`` and ``im`` a part of the first cell value."""
     doc = connection_to_document(build_dynkin("A3"))
     if field == "mu":
         doc["mu"]["0:1"] = value
+    elif field in ("re", "im"):
+        doc["values"][0][field] = value
     else:
         doc[field] = value
     return doc
@@ -120,6 +123,18 @@ def _a3_with(field, value):
     (lambda: _a3_with("gamma", ["inf", "2"]),
      "gamma = (inf, 2.0) is not a pair of positive finite numbers"),
     (lambda: _a3_with("gamma", ["2"]), "missing or invalid field 'gamma' (IndexError: "),
+    (lambda: _a3_with("gamma", "12"),
+     "missing or invalid field 'gamma' (TypeError: '12' is not a list)"),
+    (lambda: _a3_with("gamma", ["2", "2", "2"]),
+     "missing or invalid field 'gamma' (IndexError: 3 entries, not 2)"),
+    (lambda: _a3_with("gamma", [True, "2"]),
+     "missing or invalid field 'gamma' (TypeError: True is not a number)"),
+    (lambda: _a3_with("mu", True),
+     "missing or invalid field 'mu' (TypeError: True is not a number)"),
+    (lambda: _a3_with("re", True),
+     "missing or invalid field 'values' (TypeError: True is not a number)"),
+    (lambda: _a3_with("im", False),
+     "missing or invalid field 'values' (TypeError: False is not a number)"),
     (lambda: _a3_with("base", "0:9"),
      "base = '0:9' is not a source vertex of the top graph"),
     (lambda: _a3_with("name", 3), "missing or invalid field 'name' (TypeError: "),

@@ -15,7 +15,6 @@ from biunitary import (
     perron_frobenius,
     validate_square,
 )
-from biunitary.graphs import alternating
 
 from path_oracles import count_loops, enumerate_paths
 
@@ -86,7 +85,7 @@ def test_reverse_parallel_edges_keep_ids():
 
 def test_count_paths_a3_length_two():
     g = path_graph(3)
-    counts = count_paths(alternating(g, 2), "1", 2)
+    counts = count_paths(g, "1", 2)
     assert counts == {"1": 1, "3": 1}
 
 
@@ -100,7 +99,7 @@ def test_count_loops_against_dense_power_oracle(n, expected):
     for k, exp in enumerate(expected, start=1):
         want = int(np.linalg.matrix_power(adj, 2 * k)[0, 0])
         assert want == exp
-        assert count_loops(alternating(g, 2 * k), "1", 2 * k) == exp
+        assert count_loops(g, "1", 2 * k) == exp
 
 
 def test_count_loops_matches_dense_powers_on_builder_graphs():
@@ -118,17 +117,17 @@ def test_count_loops_matches_dense_powers_on_builder_graphs():
         for k in (1, 2, 3):
             power = np.linalg.matrix_power(adj, 2 * k)
             for x in set(g.src_vertices):
-                got = count_loops(alternating(g, 2 * k), x, 2 * k)
+                got = count_loops(g, x, 2 * k)
                 assert got == int(power[idx[x], idx[x]]), (name, x, k)
 
 
 def test_enumerate_paths_matches_counts():
     g = path_graph(4)
     for length in (1, 2, 3, 4):
-        paths = enumerate_paths(alternating(g, length), g.src_vertices, length)
+        paths = enumerate_paths(g, g.src_vertices, length)
         total = 0
         for x in g.src_vertices:
-            c = count_paths(alternating(g, length), x, length)
+            c = count_paths(g, x, length)
             total += sum(c.values())
         assert len(paths) == total
         assert len({p for p, _ in paths}) == len(paths)

@@ -106,6 +106,13 @@ class TestBlockLadder:
             listed = Counter((wn.top.source(p[0]), v)
                              for p, v in zip(pathset.paths[k], pathset.ends[k]))
             assert counts == dict(listed)
+            # the path set's grids: sorted keys, each its path indices in order
+            grids = {}
+            for i, (p, v) in enumerate(zip(pathset.paths[k], pathset.ends[k])):
+                grids.setdefault((wn.top.source(p[0]), v), []).append(i)
+            blocks = pathset.block_paths[k]
+            assert [(key, idxs.tolist()) for key, idxs in blocks.items()] == sorted(grids.items())
+            assert {key: len(idxs) for key, idxs in blocks.items()} == counts
             assert 16 * eng.block_entries(counts, k) == eng.half_ladder(pathset, k).nbytes
 
 
