@@ -54,8 +54,8 @@ from .connection import (
 from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
 from .mpo import operator_rank, pmpo_P, projector_trace
-from .nullspace import DEFAULT_TOL, INTEGRALITY_EPS, PMPO_IDEMPOTENCY_EPS
-from .strings import check_budget, flat_fields
+from .nullspace import DEFAULT_TOL, INTEGRALITY_EPS, PMPO_IDEMPOTENCY_EPS, check_budget
+from .strings import flat_fields
 
 REPORT_VERSION = 1
 # Peak memory per matrix entry formatted into a JSON report, its complex

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import GraphError, LayeredGraph, perron_frobenius
-from .nullspace import DEFAULT_TOL
+from .nullspace import DEFAULT_TOL, check_budget
 
 __all__ = [
     "ConnectionError",
@@ -285,28 +285,30 @@ def check_unitarity(conn: Connection, tol: float = DEFAULT_TOL) -> UnitarityRepo
     (top, right) edge pairs from x to w and columns by composable
     (left, bottom) pairs; both U U* - 1 and U* U - 1 residuals are recorded
     in max norm; every block is square, as :class:`Connection` checks.
+    ValueError is raised first if the largest block exceeds the budget.
     """
     rep = UnitarityReport(tol=tol)
-    for x in conn.x_vertices:
-        for w in conn.w_vertices:
-            rows = [(t, r)
-                    for t in conn.top.edges_from(x)
-                    for r in conn.right.edges_between(conn.top.range(t), w)]
-            cols = [(l, b)
-                    for l in conn.left.edges_from(x)
-                    for b in conn.bottom.edges_between(conn.left.range(l), w)]
-            if not rows:
-                continue
-            u = np.zeros((len(rows), len(cols)), dtype=complex)
-            for i, (t, r) in enumerate(rows):
-                for j, (l, b) in enumerate(cols):
-                    v = conn.values.get(Cell(l, t, r, b))
-                    if v is not None:
-                        u[i, j] = v
-            eye = np.eye(len(rows))
-            r1 = float(np.max(np.abs(u @ u.conj().T - eye)))
-            r2 = float(np.max(np.abs(u.conj().T @ u - eye)))
-            rep.block_residuals[(x, w)] = max(r1, r2)
+    blocks = {(x, w): [(t, r) for t in conn.top.edges_from(x)
+                       for r in conn.right.edges_between(conn.top.range(t), w)]
+              for x in conn.x_vertices for w in conn.w_vertices}
+    # u, its conjugate, a product, and the real identity and residual: 4 complex n x n
+    n = max(map(len, blocks.values()), default=0)
+    check_budget(64 * n * n, "connection", f"the unitarity check of its {n} x {n} corner block")
+    for (x, w), rows in blocks.items():
+        cols = [(l, b) for l in conn.left.edges_from(x)
+                for b in conn.bottom.edges_between(conn.left.range(l), w)]
+        if not rows:
+            continue
+        u = np.zeros((len(rows), len(cols)), dtype=complex)
+        for i, (t, r) in enumerate(rows):
+            for j, (l, b) in enumerate(cols):
+                v = conn.values.get(Cell(l, t, r, b))
+                if v is not None:
+                    u[i, j] = v
+        eye = np.eye(len(rows))
+        r1 = float(np.max(np.abs(u @ u.conj().T - eye)))
+        r2 = float(np.max(np.abs(u.conj().T @ u - eye)))
+        rep.block_residuals[(x, w)] = max(r1, r2)
     return rep
 
 

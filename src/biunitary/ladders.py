@@ -39,7 +39,6 @@ class PathSet:
         starts = sorted(set(g.src_vertices))
         cur = [(v, (), v) for v in starts]      # (start, path, end)
         self.paths: list[list[tuple[str, ...]]] = [[p for _, p, _ in cur]]
-        self.ends: list[list[str]] = [[v for _, _, v in cur]]
         self.block_paths: list[dict[tuple[str, str], np.ndarray]] = [
             {(v, v): np.asarray([i]) for i, v in enumerate(starts)}]
         self.extensions: list[dict[tuple[str, str], np.ndarray]] = [{}]
@@ -51,7 +50,6 @@ class PathSet:
                     nxt.append((x, p + (e,), traverse.range(e)))
             nxt.sort()      # by start, then path: no two paths are equal
             self.paths.append([p for _, p, _ in nxt])
-            self.ends.append([v for _, _, v in nxt])
             blocks: dict[tuple[str, str], list[int]] = {}
             ext: dict[tuple[str, str], list[int]] = {}
             for i, (x, p, v) in enumerate(nxt):
@@ -90,37 +88,37 @@ class Ladder:
         for key, blk in self.blocks.items():
             yield key, scale * blk.reshape(-1, *blk.shape[2:])
 
-    def add_pinned_transport(self, zeta1: str, zeta2: str, stacks: dict, row,
+    def add_pinned_transport(self, zeta1: str, zeta2: str, stacks: dict, row, cols: slice,
                              out: np.ndarray) -> np.ndarray:
-        """Add row grid ``row`` of the transport pinned on anchors zeta1 and
-        zeta2 (both x -> y) to ``out``, and return it.
+        """Add columns ``cols`` of row grid ``row`` of the transport pinned on
+        anchors zeta1 and zeta2 (both x -> y) to ``out``, and return it.
 
         ``stacks[(x, u)]`` holds n fields on the grid (x, u) as (n, P, P),
-        and ``out`` is (n, Q, Q) on ``row`` = (y, v).  The transport acts in
-        Kraus form, ``F -> sum_b L[zeta1, b]^T F conj(L[zeta2, b])`` over the
-        bonds b of each block into ``row``, batched into one product a side;
-        a product holds at most the larger of ``out`` and one field's.
+        and ``out`` is (n, Q, |cols|) on ``row`` = (y, v).  The transport acts
+        in Kraus form, ``F -> sum_b L[zeta1, b]^T F conj(L[zeta2, b])`` over
+        the bonds b of each block into ``row``, batched into one product a
+        side; a product holds at most the larger of ``out`` and one field's.
         """
         left = self.anchors
         x, y = left.source(zeta1), left.range(zeta1)
         if left.source(zeta2) != x or left.range(zeta2) != y:
             raise ConnectionError("boundary edges must share both endpoints")
         i1, i2 = (left.edges_between(x, y).index(z) for z in (zeta1, zeta2))
-        n = len(out)
+        n, c = len(out), out.shape[2]
         for (col, r), blk in self.blocks.items():
             if r != row or col[0] != x:
                 continue
             _, nb, p, q = blk.shape
             lt = blk[i1].reshape(nb * p, q)
-            rt = np.conj(blk[i2]).transpose(1, 0, 2).reshape(p, nb * q)
+            rt = np.conj(blk[i2][:, :, cols]).transpose(1, 0, 2).reshape(p, nb * c)
             # fields in chunks whose products are no larger than ``out``
             step = max(1, n * q // (nb * p))
             for a in range(0, n, step):
                 m = min(step, n - a)
                 # (m, p1, b, q2) -> (m, q2, b, p1): the bonds and p1 are summed next
-                t = (stacks[col][a:a + m].reshape(m * p, p) @ rt).reshape(m, p, nb, q)
-                t = t.transpose(0, 3, 2, 1).reshape(m * q, nb * p)
-                out[a:a + m] += (t @ lt).reshape(m, q, q).transpose(0, 2, 1)
+                t = (stacks[col][a:a + m].reshape(m * p, p) @ rt).reshape(m, p, nb, c)
+                t = t.transpose(0, 3, 2, 1).reshape(m * c, nb * p)
+                out[a:a + m] += (t @ lt).reshape(m, c, q).transpose(0, 2, 1)
         return out
 
     def pinned_defect(self, counts: dict[tuple[str, str], int]) -> tuple[float, float]:
@@ -133,8 +131,8 @@ class Ladder:
         scale = trace = 0.0
         for (top, bottom), blk in self.blocks.items():
             f = blk.reshape(*blk.shape[:2], -1)
-            gram = (np.conj(f) @ f.transpose(0, 2, 1)).reshape(len(f), -1)
-            scale += float(np.sum(np.real(gram @ np.conj(gram).T)))
+            gram = sum(np.conj(fa) @ fa.T for fa in f)      # per anchor: f is not copied
+            scale += float(np.vdot(gram, gram).real)
             if top == bottom:
                 tr = np.einsum("abpp->ab", blk)
                 trace += float(np.vdot(tr, tr).real)

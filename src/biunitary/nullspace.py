@@ -1,10 +1,12 @@
-"""The fixed numerical cuts, and the one null-space decision on a Gram matrix
-``C^* C`` that both the intertwiner solve and the flatness solve reduce to.
+"""The fixed numerical cuts, the memory budget, and the one null-space
+decision on a Gram matrix ``C^* C`` that both the intertwiner solve and the
+flatness solve reduce to.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -59,6 +61,15 @@ WEIGHT_SUM_EPS = 1e-8
 # A string element is independent of an st-2 orthonormal list when its squared
 # st-2 residual exceeds this, relative to max(1, its squared st-2 norm).
 ST2_RANK_EPS = 1e-10
+# Dense arrays a command may hold at once must fit in half of physical memory.
+DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def check_budget(need: int, what: str, purpose: str) -> None:
+    """ValueError when ``need`` bytes exceed ``DENSE_BUDGET_BYTES``."""
+    if need > DENSE_BUDGET_BYTES:
+        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB for {purpose}, above the budget "
+                         f"of {DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
 
 
 def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],

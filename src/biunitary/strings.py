@@ -12,7 +12,6 @@ projector operator a genuine two-sided check.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,10 +20,13 @@ import numpy as np
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
 from .ladders import LadderEngine, PathSet, grid_counts
-from .nullspace import EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, stacked_null_space
+from .nullspace import (EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budget,
+                        stacked_null_space)
 
-# Dense arrays a command may hold at once must fit in half of physical memory
-DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+# Flat-solve transport chunks hold max(n0^2, this) entries, 1 MiB: n0^2 alone makes
+# small systems' chunks narrow (verify-theorem E6 k5 0.066 -> 0.086 s, 2 cores),
+# and 2 MiB raised the theorem benchmark's peak RSS from 56.3 to 60.3 MiB.
+CHUNK_FLOOR_ENTRIES = 2 ** 16
 
 __all__ = [
     "TraceData",
@@ -33,13 +35,6 @@ __all__ = [
     "jones_projection",
     "jones_span_dimension",
 ]
-
-
-def check_budget(need: int, what: str, purpose: str) -> None:
-    """ValueError when ``need`` bytes exceed ``DENSE_BUDGET_BYTES``."""
-    if need > DENSE_BUDGET_BYTES:
-        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB for {purpose}, above the budget "
-                         f"of {DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
 
 
 # -- traces -------------------------------------------------------------------
@@ -148,7 +143,8 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     ConnectionError is raised.
 
     Each ``R_x`` is held as per-grid stacks ``(n0, P, P)`` that the
-    transports act on in Kraus form, and ``C`` as one stack per row grid for
+    transports act on in Kraus form, and ``C`` as one stack per column chunk
+    of a row grid, of about ``max(n0^2, CHUNK_FLOOR_ENTRIES)`` entries, for
     ``stacked_null_space``, so no transport matrix is formed.
 
     Returns the dimension and, on request, an st-2 orthonormal basis of
@@ -183,21 +179,28 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     dims = {x: sum(counts[key] ** 2 for key in keys) for x, keys in rows.items()}
     root = min(dims, key=lambda x: (dims[x], x))
     n0 = dims[root]
-    # the reach stacks, the Gram twice, and a constraint's row grid with three
-    # Kraus temporaries, each at most that or one field's product with a block
-    grid = max(n0 * max(counts.values()) ** 2, max(blk[0].size for blk in lad.blocks.values()))
-    check_budget(16 * (n0 * (sum(dims.values()) + 2 * n0) + 4 * grid), what,
+    # the reach stacks, the Gram twice, a constraint's column chunk (at most a row grid,
+    # at least a column) and three Kraus temporaries, each that or a field's block product
+    chunk, q = max(n0 * n0, CHUNK_FLOOR_ENTRIES), max(counts.values())
+    most = max(min(chunk, n0 * q * q), n0 * q, max(blk[0].size for blk in lad.blocks.values()))
+    check_budget(16 * (n0 * (sum(dims.values()) + 2 * n0) + 4 * most), what,
                  "its reach stacks, constraints and Gram")
     basis = StringBasis(w_conn.top, k, pathset)
+
+    def chunks(row):    # column ranges of ``row`` holding at most a chunk, or one column
+        width = max(1, chunk // (n0 * counts[row]))
+        return [slice(c, c + width) for c in range(0, counts[row], width)]
     # per grid (x, u): the stack (n0, P, P) of R_x on it
     eye, start = np.eye(n0, dtype=complex), basis.block_slices[root].start
     reach = {key: eye[:, basis.grids[key].ravel() - start].reshape(n0, counts[key], -1)
              for key in rows[root]}
+    del eye
     tree = _vertical_tree(by_pair, root, basis.base_vertices)
     for _, y, zeta in tree:
         for row in rows[y]:
-            reach[row] = lad.add_pinned_transport(
-                zeta, zeta, reach, row, np.zeros((n0, counts[row], counts[row]), dtype=complex))
+            reach[row] = np.zeros((n0, counts[row], counts[row]), dtype=complex)
+            for cs in chunks(row):
+                lad.add_pinned_transport(zeta, zeta, reach, row, cs, reach[row][:, :, cs])
     tree_edges = {zeta for _, _, zeta in tree}
 
     def constraints():
@@ -208,9 +211,10 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
                     if z1 == z2 and z1 in tree_edges:
                         continue
                     for row in rows[y]:
-                        yield lad.add_pinned_transport(
-                            z1, z2, reach, row,
-                            -reach[row] if z1 == z2 else np.zeros_like(reach[row]))
+                        for cs in chunks(row):
+                            r = reach[row][:, :, cs]
+                            yield lad.add_pinned_transport(
+                                z1, z2, reach, row, cs, -r if z1 == z2 else np.zeros_like(r))
 
     null, evecs, _ = stacked_null_space(n0, constraints(), return_basis, RuntimeError,
                                         "flatness system has no clean spectral gap")

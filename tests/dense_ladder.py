@@ -13,12 +13,22 @@ import math
 import numpy as np
 
 
+def path_ends(pathset, j):
+    """The end vertex of each path of length j: at odd lengths the last
+    edge is run along the graph and ends at its range, at even lengths
+    against it and ends at its source; at length 0 a path ends at its start."""
+    g = pathset.graph
+    if j == 0:
+        return sorted(set(g.src_vertices))
+    return [g.range(p[-1]) if j % 2 == 1 else g.source(p[-1]) for p in pathset.paths[j]]
+
+
 def _global_extensions(pathset, j):
     """Per edge e: the length-(j-1) parents and the length-j children of
     every extension by e, as global indices into the path lists."""
     g = pathset.graph
     # length-0 paths are all the empty tuple: key them by start vertex
-    parents = ({v: i for i, v in enumerate(pathset.ends[0])} if j == 1
+    parents = ({v: i for i, v in enumerate(path_ends(pathset, 0))} if j == 1
                else {p: i for i, p in enumerate(pathset.paths[j - 1])})
     ext: dict[str, tuple[list[int], list[int]]] = {}
     for i, p in enumerate(pathset.paths[j]):
@@ -63,7 +73,7 @@ def dense_half_ladder(conn, pathset, k):
     odd_blocks, even_blocks = _dense_columns(conn)
     nl = len(left_edges)
     v0 = pathset.paths[0]
-    v0_index = {pathset.ends[0][i]: i for i in range(len(v0))}
+    v0_index = {v: i for i, v in enumerate(path_ends(pathset, 0))}
     state = np.zeros((nl, nl, len(v0), len(v0)), dtype=complex)
     for a, e in enumerate(left_edges):
         x = conn.left.source(e)
@@ -96,7 +106,7 @@ def dense_slice(conn, pathset, k, key):
     lefts = [e for e, _, _ in conn.left.edges]
     bond_ids = [e for e, _, _ in bonds.edges]
     starts = [pathset.graph.source(p[0]) for p in pathset.paths[k]]
-    ends = pathset.ends[k]
+    ends = path_ends(pathset, k)
 
     def grid(s, t):
         return [i for i in range(len(ends)) if starts[i] == s and ends[i] == t]

@@ -4,16 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import biunitary.cli
+import biunitary.nullspace
 import biunitary.strings
 from biunitary import LadderEngine, build_dynkin, connection_to_document
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
 from biunitary.ladders import grid_counts
-from biunitary.strings import _constraint_blocks
+from biunitary.strings import _constraint_blocks, flat_fields
 
 
 def run(capsys, *argv):
@@ -235,13 +237,13 @@ def test_relcomm_header_claims_no_tolerance(capsys):
 
 def test_pmpo_over_memory_budget_is_input_error(capsys, monkeypatch):
     # A3 at k=2 has dim B_k = 4: two dense complex arrays are 512 bytes
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 511)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 511)
     code, out, err = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: dense P^k at k=2 on dim B_k = 4 ")
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 512)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 512)
     code, _, _ = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
     assert code == 0
 
@@ -275,19 +277,22 @@ def half_ladder_bytes(conn, k):
 
 
 def stack_bytes(conn, k):
-    """The flat solve's reach stacks, its Gram twice, and four row grids of a
-    constraint (one row grid and the Kraus temporaries), all on n0 fields."""
+    """The flat solve's reach stacks on n0 fields, its Gram twice, and four
+    column chunks of a constraint (one chunk and the Kraus temporaries), each
+    of max(n0^2, 2^16) entries but no more than the largest row grid, and at
+    least one column of it."""
     counts = grid_counts(conn.top, k)
     dims = {}
     for (x, _), n in counts.items():
         dims[x] = dims.get(x, 0) + n * n
-    n0 = min(dims.values())
-    return 16 * n0 * (sum(dims.values()) + 2 * n0 + 4 * max(counts.values()) ** 2)
+    n0, q = min(dims.values()), max(counts.values())
+    chunk = max(min(max(n0 * n0, 2 ** 16), n0 * q * q), n0 * q)
+    return 16 * (n0 * (sum(dims.values()) + 2 * n0) + 4 * chunk)
 
 
 def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
     need = half_ladder_bytes(build_dynkin("A3"), 2)
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need - 1)
     for command in ("relcomm", "verify-theorem"):
         code, out, err = run(capsys, command, "--builtin", "dynkin A3", "-k", "2")
         assert code == 2
@@ -295,17 +300,17 @@ def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
         assert len(err.splitlines()) == 1
         assert err.startswith("error: flat solve at k=2 on ")
         assert "GiB" in err
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need)
     code, _, _ = run(capsys, "relcomm", "--builtin", "dynkin A3", "-k", "2")
     assert code == 0
 
 
 def test_oversized_flat_solve_stops_before_allocating():
     # D5 at k=12 has 2704 paths: its half-ladder blocks take 0.6 GiB, but its
-    # reach stacks, Gram and constraint rows would take 57791.2 GiB.  The
+    # reach stacks, Gram and constraint chunks would take 25806.5 GiB.  The
     # child runs under a 2 GiB address-space cap, so reaching any allocation
     # of that size would end in MemoryError (exit 1), not in exit 2.
-    if stack_bytes(build_dynkin("D5"), 12) <= biunitary.strings.DENSE_BUDGET_BYTES:
+    if stack_bytes(build_dynkin("D5"), 12) <= biunitary.nullspace.DENSE_BUDGET_BYTES:
         pytest.skip("this machine's memory budget admits the case")
     src = os.path.dirname(os.path.dirname(os.path.abspath(biunitary.cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
@@ -318,9 +323,23 @@ def test_oversized_flat_solve_stops_before_allocating():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 57791.2 GiB "
+    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 25806.5 GiB "
                                   "for its reach stacks, constraints and Gram")
-    assert 57791.2 * 2**30 <= stack_bytes(build_dynkin("D5"), 12) < 57791.3 * 2**30
+    assert 25806.4 * 2**30 <= stack_bytes(build_dynkin("D5"), 12) < 25806.5 * 2**30
+
+
+@pytest.mark.parametrize("name,k", [("dynkin:D5", 6), ("dynkin:E6", 5), ("cyclic:4", 5),
+                                    ("trivial:3", 4)])
+def test_flat_preflight_bounds_the_traced_peak(systems, name, k):
+    # trivial 3 takes the exact shortcut; the others chunk their constraints
+    wn = systems(name).wn
+    tracemalloc.start()
+    try:
+        flat_fields(wn, k, return_basis=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= half_ladder_bytes(wn, k) + stack_bytes(wn, k)
 
 
 @pytest.mark.parametrize("command", ["relcomm", "verify-theorem"])
@@ -335,22 +354,22 @@ def test_flat_preflight_lists_no_path(capsys, command):
 
 
 def test_flat_transports_over_budget_stop_before_the_basis(capsys, monkeypatch):
-    # D5 at k=8: a few MiB of ladder blocks, 3.1 GiB of reach stacks and the rest
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 2 << 30)
+    # D5 at k=8: a few MiB of ladder blocks, 1.4 GiB of reach stacks and the rest
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 1 << 30)
     monkeypatch.setattr(biunitary.strings, "StringBasis", None)
     code, out, err = run(capsys, "relcomm", "--builtin", "dynkin D5", "-k", "8")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: flat solve at k=8 on 232 paths needs 3.1 GiB "
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 1.4 GiB "
                           "for its reach stacks, constraints and Gram")
-    assert 3.1 * 2**30 <= stack_bytes(build_dynkin("D5"), 8) < 3.2 * 2**30
+    assert 1.3 * 2**30 <= stack_bytes(build_dynkin("D5"), 8) < 1.4 * 2**30
 
 
 def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
     # trivial 3 at k=5 is all flat: no transport is formed, and its identity
     # basis would be 59049 x 59049
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 4 << 30)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 4 << 30)
     code, out, _ = run(capsys, "relcomm", "--builtin", "trivial 3", "-k", "5")
     assert code == 0
     assert "flat dimension         59049" in out
@@ -367,8 +386,8 @@ def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
 
 
 def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
-    # D5 at k=8 needs 3.1 GiB of stacks: its solve runs before any other
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", 2 << 30)
+    # D5 at k=8 needs 1.4 GiB of stacks: its solve runs before any other
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 1 << 30)
     solved = []
     solve = biunitary.cli.flat_fields
 
@@ -381,7 +400,7 @@ def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: flat solve at k=8 on 232 paths needs 3.1 GiB")
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 1.4 GiB")
     assert solved == [8]
 
 
@@ -398,7 +417,7 @@ def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, comman
     # trivial 3 at k=2: an 81 x 81 matrix
     entry_bytes, purpose = MATRIX_REPORT_CHECKS[command]
     need = entry_bytes * 81 ** 2
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need - 1)
     argv = (command, "--builtin", "trivial 3", "-k", "2", flag, "--format", "json")
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -406,7 +425,7 @@ def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, comman
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert f"for {purpose}" in err
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["dim"] == 81
@@ -415,13 +434,13 @@ def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, comman
 def test_oversized_builtin_is_refused_before_its_cells(capsys, monkeypatch):
     # trivial 3 has 9 cells
     need = biunitary.cli._BUILTIN_CELL_BYTES * 9
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need - 1)
     code, out, err = run(capsys, "check", "--builtin", "trivial 3")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: builtin trivial 3 needs ")
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need)
     code, _, _ = run(capsys, "check", "--builtin", "trivial 3")
     assert code == 0
     # unpatched, in a child: 10^22 cells are refused at once, not filled in
@@ -436,9 +455,29 @@ def test_oversized_builtin_is_refused_before_its_cells(capsys, monkeypatch):
     assert proc.stderr.startswith("error: builtin trivial 99999999999 needs ")
 
 
+def test_oversized_corner_block_is_refused_before_it_is_formed():
+    # trivial 300 passes the cell budget (90000 cells), but its one corner
+    # block is 90000 x 90000; under a 2 GiB address-space cap, forming it
+    # would end in MemoryError, not in exit 2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biunitary.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    prog = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from biunitary.cli import main\n"
+            "sys.exit(main(['check', '--builtin', 'trivial 300']))\n")
+    proc = subprocess.run([sys.executable, "-c", prog], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: connection needs 482.8 GiB for the unitarity check "
+                                  "of its 90000 x 90000 corner block")
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_refused_report_writes_no_file(tmp_path, capsys, monkeypatch):
     need = biunitary.cli.FORMATTED_ENTRY_BYTES * 81 ** 2
-    monkeypatch.setattr(biunitary.strings, "DENSE_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need - 1)
     path = tmp_path / "F"
     argv = ("relcomm", "--builtin", "trivial 3", "-k", "2", "--basis", "--out", str(path))
     code, out, err = run(capsys, *argv, "--format", "json")

@@ -12,7 +12,7 @@ from biunitary.ladders import grid_counts, paired_string_operator
 from biunitary.strings import _constraint_blocks
 
 from conftest import ALL_BUILDERS
-from dense_ladder import dense_half_ladder, dense_slice
+from dense_ladder import dense_half_ladder, dense_slice, path_ends
 from transport_oracle import paired_vertex_operator, pinned_pairs
 
 
@@ -104,11 +104,11 @@ class TestBlockLadder:
         for k in (1, 2, 3, 4):
             counts = grid_counts(wn.top, k)
             listed = Counter((wn.top.source(p[0]), v)
-                             for p, v in zip(pathset.paths[k], pathset.ends[k]))
+                             for p, v in zip(pathset.paths[k], path_ends(pathset, k)))
             assert counts == dict(listed)
             # the path set's grids: sorted keys, each its path indices in order
             grids = {}
-            for i, (p, v) in enumerate(zip(pathset.paths[k], pathset.ends[k])):
+            for i, (p, v) in enumerate(zip(pathset.paths[k], path_ends(pathset, k))):
                 grids.setdefault((wn.top.source(p[0]), v), []).append(i)
             blocks = pathset.block_paths[k]
             assert [(key, idxs.tolist()) for key, idxs in blocks.items()] == sorted(grids.items())

@@ -17,7 +17,7 @@ from biunitary import (
 from biunitary.mpo import _is_hermitian
 
 from conftest import ALL_BUILDERS
-from dense_ladder import dense_half_ladder
+from dense_ladder import dense_half_ladder, path_ends
 from loop_oracles import four_tensor, loop_index, ring_contract, shift2
 
 
@@ -106,7 +106,7 @@ class TestProjectorTrace:
             paths = sb.pathset.paths[k]
             for a in s.fd.labels:
                 rep = s.reps[a]
-                grids = [(rep.top.source(p[0]), v) for p, v in zip(paths, sb.pathset.ends[k])]
+                grids = [(rep.top.source(p[0]), v) for p, v in zip(paths, path_ends(sb.pathset, k))]
                 diag = np.einsum("abpp->abp", dense_half_ladder(rep, sb.pathset, k))
                 sweep = LadderEngine(rep).diagonal_sweep(k)
                 lefts = [e for e, _, _ in rep.left.edges]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import biunitary.nullspace
+import biunitary.strings
 from biunitary import (
     Field,
     LadderEngine,
@@ -152,7 +153,8 @@ class TestTransports:
         stacks = stacks_of(sb, x, np.ones((1, sb.block_slices[x].stop - sb.block_slices[x].start)))
         row = next(key for key in sb.grids if key[0] == rep.left.range(z1))
         with pytest.raises(ConnectionError, match="^boundary edges must share both endpoints$"):
-            lad.add_pinned_transport(z1, z2, stacks, row, np.zeros((1, 1, 1), dtype=complex))
+            lad.add_pinned_transport(z1, z2, stacks, row, slice(0, 1),
+                                     np.zeros((1, 1, 1), dtype=complex))
         with pytest.raises(ConnectionError, match="^boundary edges must share both endpoints$"):
             transport_T(lad, z1, z2, sb)
 
@@ -171,9 +173,12 @@ class TestTransports:
                 for z2 in edges:
                     want = stacks_of(sb, y, (transport_T(lad, z1, z2, sb) @ f.T).T)
                     for row, w in want.items():
-                        start = rng.standard_normal(w.shape) + 0j
-                        got = lad.add_pinned_transport(z1, z2, stacks, row, start.copy())
-                        assert np.max(np.abs(got - start - w)) < 1e-12
+                        # the whole grid, and its second half of columns
+                        for cols in (slice(None), slice(w.shape[2] // 2, None)):
+                            start = rng.standard_normal(w[:, :, cols].shape) + 0j
+                            got = lad.add_pinned_transport(z1, z2, stacks, row, cols,
+                                                           start.copy())
+                            assert np.max(np.abs(got - start - w[:, :, cols])) < 1e-12
 
     @pytest.mark.parametrize("name", ["trivial:2", "dynkin:A3", "dynkin:A4", "cyclic:3"])
     def test_diagonal_transport_sum_recovers_operator(self, systems, bases_for, name):
@@ -330,7 +335,7 @@ class TestVertexBlockSolve:
                        ("dynkin:E7", 5)])
 
     @pytest.mark.parametrize("name,k", ORACLE_CASES)
-    def test_matches_dense_oracle(self, systems, name, k):
+    def test_matches_dense_oracle(self, systems, monkeypatch, name, k):
         wn = systems(name).wn
         want_dim, want_vecs = dense_flat_fields(wn, k)
         assert flat_fields(wn, k, return_basis=False).dimension == want_dim
@@ -343,6 +348,12 @@ class TestVertexBlockSolve:
         got = st2_projector(res.vectors, g)
         want = st2_projector(want_vecs, g)
         assert np.max(np.abs(got - want)) < 1e-9
+        # without the floor, each transport chunk is Gram-sized or one column
+        monkeypatch.setattr(biunitary.strings, "CHUNK_FLOOR_ENTRIES", 1)
+        assert flat_fields(wn, k, return_basis=False).dimension == want_dim
+        res = flat_fields(wn, k, return_basis=True)
+        assert res.dimension == want_dim
+        assert np.max(np.abs(st2_projector(res.vectors, g) - want)) < 1e-12
 
     def test_tree_reaches_depth_two(self):
         by_pair = {("r", "r"): ["l"], ("r", "u"): ["e1", "e1b"],
