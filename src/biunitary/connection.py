@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GraphError, LayeredGraph, perron_frobenius
+from .graphs import GraphError, LayeredGraph, perron_frobenius, spanning_tree
 from .nullspace import DEFAULT_TOL, check_budget
 
 __all__ = [
@@ -530,22 +530,6 @@ def _dynkin_edges(diagram: str) -> tuple[str, list[tuple[str, str]], int]:
     return d, chain + [("3", str(n))], {6: 12, 7: 18, 8: 30}[n]
 
 
-def _two_color(edges: list[tuple[str, str]]) -> dict[str, int]:
-    adj: dict[str, set[str]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    color = {"1": 0}
-    stack = ["1"]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
-    return color
-
-
 def build_dynkin(diagram: str, base: str | None = None) -> Connection:
     """The standard bi-unitary connection on an A-D-E diagram.
 
@@ -556,7 +540,11 @@ def build_dynkin(diagram: str, base: str | None = None) -> Connection:
     Coxeter number N, and gamma1 = gamma2 = 2 cos(pi / N).
     """
     d, edges, coxeter = _dynkin_edges(diagram)
-    color = _two_color(edges)
+    color = {"1": 0}    # the parity of the depth from "1", with the diagram on one layer
+    for x, y, _ in spanning_tree(LayeredGraph(d, [(v, 0) for e in edges for v in e],
+                                              [(f"{a}-{b}", a, b) for a, b in edges], 0, 0),
+                                 "1", directed=False):
+        color[y] = 1 - color[x]
     even = sorted(v for v, c in color.items() if c == 0)
     base = str(base) if base is not None else even[0]
     if base not in even:

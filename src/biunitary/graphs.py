@@ -11,6 +11,8 @@ reproducible.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "LayeredGraph",
     "perron_frobenius",
     "count_paths",
+    "spanning_tree",
 ]
 
 
@@ -113,18 +116,8 @@ class LayeredGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        parent = {v: v for v, _ in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for _, s, r in self.edges:
-            parent[find(s)] = find(r)
-        roots = {find(v) for v, _ in self.vertices}
-        return len(roots) == 1
+        tree = spanning_tree(self, self.vertices[0][0], directed=False)
+        return len(tree) == len(self.vertices) - 1
 
     def validate(self) -> None:
         """Raise unless the graph is connected with at least two edges."""
@@ -182,7 +175,31 @@ def perron_frobenius(g: LayeredGraph, base: str | None = None) -> tuple[float, d
     return lam, weights
 
 
-# -- path counting --------------------------------------------------------
+# -- walks ------------------------------------------------------------------
+
+
+def spanning_tree(g: LayeredGraph, root: str, directed: bool = True) -> list[tuple[str, str, str]]:
+    """Breadth-first spanning tree of the vertices of `g` reachable from `root`.
+
+    Returns ``(x, y, edge)`` triples in the order the vertices ``y`` are
+    first reached.  The successors of each ``x`` are visited in sorted
+    order, each carried by the first edge (in id order) from ``x`` to it.
+    Edges run from source to range when `directed`, and both ways otherwise.
+    """
+    succ: dict[str, dict[str, str]] = {}
+    for e, s, r in g.edges:
+        succ.setdefault(s, {}).setdefault(r, e)
+        if not directed:
+            succ.setdefault(r, {}).setdefault(s, e)
+    reached, tree, queue = {root}, [], deque([root])
+    while queue:
+        x = queue.popleft()
+        for y, e in sorted(succ.get(x, {}).items()):
+            if y not in reached:
+                reached.add(y)
+                tree.append((x, y, e))
+                queue.append(y)
+    return tree
 
 
 def count_paths(g: LayeredGraph, start: str, length: int) -> dict[str, int]:

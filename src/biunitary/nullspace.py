@@ -96,9 +96,9 @@ def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],
     return null, evecs, smax
 
 
-def stacked_null_space(n: int, stacks, vectors: bool, error: type[Exception],
-                       prefix: str) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """``gram_null_space`` of the system stacked from ``stacks`` on n unknowns.
+def stacked_null_space(n: int, stacks,
+                       vectors: bool) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """``gram_null_space`` of the flatness system stacked from ``stacks`` on n unknowns.
 
     Row j of each stack is the image of unknown j under one group of
     equations, and the Gram sums ``conj(c) c^T``, in real products, over the
@@ -125,4 +125,4 @@ def stacked_null_space(n: int, stacks, vectors: bool, error: type[Exception],
     if gram is None:
         return (np.ones(n, dtype=bool), np.eye(n, dtype=complex) if vectors else None,
                 math.sqrt(left_out))
-    return gram_null_space(gram, vectors, error, prefix)
+    return gram_null_space(gram, vectors, RuntimeError, "flatness system has no clean spectral gap")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
+from .graphs import spanning_tree
 from .ladders import LadderEngine, PathSet, grid_counts
 from .nullspace import (EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budget,
                         stacked_null_space)
@@ -93,30 +94,13 @@ def _constraint_blocks(w_conn: Connection):
     return vertical_product(w_conn, renormalize(w_conn, "bar"))
 
 
-def _vertical_tree(by_pair: dict[tuple[str, str], list[str]], root: str,
-                   vertices=()) -> list[tuple[str, str, str]]:
-    """Breadth-first spanning tree of a vertical graph, grown from ``root``.
-
-    Returns ``(x, y, edge)`` triples in the order the vertices ``y`` are
-    first reached, each carried by the first edge listed for ``(x, y)``.
-    Every vertex of the edge map, and every vertex in ``vertices``, must be
-    reachable along directed edges; otherwise ConnectionError names the
-    unreached ones.
-    """
-    out: dict[str, list[tuple[str, str]]] = {}
-    for (x, y), edges in sorted(by_pair.items()):
-        out.setdefault(x, []).append((y, edges[0]))
-    reached = {root}
-    tree = []
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, e in out.get(x, ()):
-            if y not in reached:
-                reached.add(y)
-                tree.append((x, y, e))
-                queue.append(y)
-    missing = sorted({v for pair in by_pair for v in pair}.union(vertices) - reached)
+def _reach_tree(anchors, root: str, vertices=()) -> list[tuple[str, str, str]]:
+    """The directed ``spanning_tree`` of a vertical graph from ``root``, which must
+    reach every vertex of the graph and of ``vertices``: ConnectionError names
+    the unreached ones."""
+    tree = spanning_tree(anchors, root)
+    missing = sorted({v for v, _ in anchors.vertices}.union(vertices)
+                     - {root}.union(y for _, y, _ in tree))
     if missing:
         raise ConnectionError(f"vertical graph does not reach {', '.join(missing)} "
                               f"from base vertex {root}")
@@ -133,8 +117,8 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     computation independent of the decomposition pipeline.
 
     A flat field is fixed by its block at one root base vertex ``*`` (the
-    one with the smallest block, ties broken by name): along each edge of a
-    breadth-first spanning tree of the vertical graph, ``f_y = T f_x`` with
+    one with the smallest block, ties broken by name): along each edge of
+    the directed ``spanning_tree`` of the vertical graph, ``f_y = T f_x`` with
     the diagonal transport of that edge.  Substituting these relations
     leaves a system on ``B_k(*)`` alone, whose Gram matrix sums
     ``C^* C`` with ``C = T_{z1 z2} R_x - delta R_y`` over all edge pairs,
@@ -148,10 +132,11 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     ``stacked_null_space``, so no transport matrix is formed.
 
     Returns the dimension and, on request, an st-2 orthonormal basis of
-    flat fields, rebuilt blockwise as ``R_x v``.  When every constraint
-    vanishes identically the whole string space is flat and no system is
-    formed.  ValueError is raised before the half ladder, the stacks or the
-    shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
+    flat fields, rebuilt in one array as ``R_x v`` while the reach stacks
+    are dropped.  When every constraint vanishes identically the whole string
+    space is flat and no system is formed.  ValueError is raised before the
+    half ladder, the stacks and basis or the shortcut's basis would exceed
+    ``DENSE_BUDGET_BYTES``.
     """
     eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
     counts = grid_counts(g, k)
@@ -167,24 +152,22 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
         vecs = None
         if return_basis:
             check_budget(16 * basis.dim ** 2, what, "its basis")
-            vecs = np.diag(1.0 / np.sqrt(_st2_gram(basis, w_conn, k))).astype(complex)
+            vecs = np.zeros((basis.dim, basis.dim), dtype=complex)
+            np.fill_diagonal(vecs, 1.0 / np.sqrt(_st2_gram(basis, w_conn, k)))
         return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs, exact=True)
 
-    by_pair: dict[tuple[str, str], list[str]] = {}
-    for e, s, r in lad.anchors.edges:
-        by_pair.setdefault((s, r), []).append(e)
     rows: dict[str, list] = {}      # the grids (x, u) per base vertex x
     for key in counts:
         rows.setdefault(key[0], []).append(key)
     dims = {x: sum(counts[key] ** 2 for key in keys) for x, keys in rows.items()}
     root = min(dims, key=lambda x: (dims[x], x))
     n0 = dims[root]
-    # the reach stacks, the Gram twice, a constraint's column chunk (at most a row grid,
-    # at least a column) and three Kraus temporaries, each that or a field's block product
+    # the reach stacks (and as large a basis), the Gram twice, a constraint's column chunk (at
+    # most a row grid, at least a column) and three Kraus temporaries, each that or a product
     chunk, q = max(n0 * n0, CHUNK_FLOOR_ENTRIES), max(counts.values())
     most = max(min(chunk, n0 * q * q), n0 * q, max(blk[0].size for blk in lad.blocks.values()))
-    check_budget(16 * (n0 * (sum(dims.values()) + 2 * n0) + 4 * most), what,
-                 "its reach stacks, constraints and Gram")
+    check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + 2 * n0) + 4 * most),
+                 what, f"its reach stacks, {'basis, ' * return_basis}constraints and Gram")
     basis = StringBasis(w_conn.top, k, pathset)
 
     def chunks(row):    # column ranges of ``row`` holding at most a chunk, or one column
@@ -195,7 +178,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     reach = {key: eye[:, basis.grids[key].ravel() - start].reshape(n0, counts[key], -1)
              for key in rows[root]}
     del eye
-    tree = _vertical_tree(by_pair, root, basis.base_vertices)
+    tree = _reach_tree(lad.anchors, root, basis.base_vertices)
     for _, y, zeta in tree:
         for row in rows[y]:
             reach[row] = np.zeros((n0, counts[row], counts[row]), dtype=complex)
@@ -204,7 +187,8 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     tree_edges = {zeta for _, _, zeta in tree}
 
     def constraints():
-        for (_, y), edges in sorted(by_pair.items()):
+        for x, y in sorted({(s, r) for _, s, r in lad.anchors.edges}):
+            edges = lad.anchors.edges_between(x, y)
             for z1 in edges:
                 for z2 in edges:
                     # T R_x - R_y is exactly zero on a tree edge: R_y was set to T R_x
@@ -216,19 +200,27 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
                             yield lad.add_pinned_transport(
                                 z1, z2, reach, row, cs, -r if z1 == z2 else np.zeros_like(r))
 
-    null, evecs, _ = stacked_null_space(n0, constraints(), return_basis, RuntimeError,
-                                        "flatness system has no clean spectral gap")
+    null, evecs, _ = stacked_null_space(n0, constraints(), return_basis)
     dim = int(np.count_nonzero(null))
     vecs = None
     if return_basis and dim:
         v0 = evecs[:, null]
-        v = np.zeros((basis.dim, dim), dtype=complex)
-        for key, r in reach.items():
-            v[basis.grids[key].ravel()] = r.reshape(n0, -1).T @ v0
-        g = _st2_gram(basis, w_conn, k)
-        gm = (v.conj().T * g[None, :]) @ v
+        # the fields R_x v0, one path row at a time, each reach stack dropped once read
+        vecs = np.zeros((basis.dim, dim), dtype=complex)
+        for key in list(reach):
+            r = reach.pop(key)
+            for i, idx in enumerate(basis.grids[key]):
+                vecs[idx] = r[:, i].T @ v0
+        # st-2 orthonormalized in place, over row blocks of at most ``most`` entries
+        g, step = _st2_gram(basis, w_conn, k), max(1, most // dim)
+        blocks = [slice(i, i + step) for i in range(0, basis.dim, step)]
+        gm = np.zeros((dim, dim), dtype=complex)
+        for b in blocks:
+            gm += (vecs[b].conj().T * g[b]) @ vecs[b]
         ev, eu = np.linalg.eigh(gm)
-        vecs = v @ eu @ np.diag(1.0 / np.sqrt(np.clip(ev, 1e-300, None)))
+        eu /= np.sqrt(np.clip(ev, 1e-300, None))
+        for b in blocks:
+            vecs[b] = vecs[b] @ eu
     return FlatFieldResult(dimension=dim, basis=basis, vectors=vecs, exact=False)
 
 

@@ -276,18 +276,19 @@ def half_ladder_bytes(conn, k):
     return 16 * sum(eng.block_entries(grid_counts(conn.top, j), j) for j in (k - 1, k))
 
 
-def stack_bytes(conn, k):
+def stack_bytes(conn, k, basis=False):
     """The flat solve's reach stacks on n0 fields, its Gram twice, and four
     column chunks of a constraint (one chunk and the Kraus temporaries), each
     of max(n0^2, 2^16) entries but no more than the largest row grid, and at
-    least one column of it."""
+    least one column of it; with a basis, a second array as large as the
+    reach stacks."""
     counts = grid_counts(conn.top, k)
     dims = {}
     for (x, _), n in counts.items():
         dims[x] = dims.get(x, 0) + n * n
     n0, q = min(dims.values()), max(counts.values())
     chunk = max(min(max(n0 * n0, 2 ** 16), n0 * q * q), n0 * q)
-    return 16 * (n0 * (sum(dims.values()) + 2 * n0) + 4 * chunk)
+    return 16 * (n0 * ((1 + basis) * sum(dims.values()) + 2 * n0) + 4 * chunk)
 
 
 def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
@@ -328,18 +329,34 @@ def test_oversized_flat_solve_stops_before_allocating():
     assert 25806.4 * 2**30 <= stack_bytes(build_dynkin("D5"), 12) < 25806.5 * 2**30
 
 
-@pytest.mark.parametrize("name,k", [("dynkin:D5", 6), ("dynkin:E6", 5), ("cyclic:4", 5),
-                                    ("trivial:3", 4)])
-def test_flat_preflight_bounds_the_traced_peak(systems, name, k):
+@pytest.mark.parametrize("name,k,return_basis", [
+    pytest.param(name, k, basis, id=f"{name}-{k}" + "-basis" * basis)
+    for basis in (False, True)
+    for name, k in [("dynkin:D5", 6), ("dynkin:E6", 5), ("cyclic:4", 5), ("trivial:3", 4)]])
+def test_flat_preflight_bounds_the_traced_peak(systems, name, k, return_basis):
     # trivial 3 takes the exact shortcut; the others chunk their constraints
     wn = systems(name).wn
     tracemalloc.start()
     try:
-        flat_fields(wn, k, return_basis=False)
+        flat_fields(wn, k, return_basis=return_basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= half_ladder_bytes(wn, k) + stack_bytes(wn, k)
+    assert peak <= half_ladder_bytes(wn, k) + stack_bytes(wn, k, return_basis)
+
+
+def test_flat_preflight_counts_the_basis(capsys, monkeypatch):
+    # the budget admits D5's solve at k=5, but not its basis as well
+    need = stack_bytes(build_dynkin("D5"), 5)
+    monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need)
+    argv = ("relcomm", "--builtin", "dynkin D5", "-k", "5", "--format", "json")
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--basis")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: flat solve at k=5 on ")
+    assert "for its reach stacks, basis, constraints and Gram" in err
 
 
 @pytest.mark.parametrize("command", ["relcomm", "verify-theorem"])

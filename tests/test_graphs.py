@@ -15,7 +15,9 @@ from biunitary import (
     perron_frobenius,
     validate_square,
 )
+from biunitary.graphs import spanning_tree
 
+from graph_oracles import bfs_tree, two_color, union_find_connected
 from path_oracles import count_loops, enumerate_paths
 
 
@@ -176,3 +178,36 @@ def small_bipartite(draw):
 @given(small_bipartite())
 def test_reverse_involution_property(g):
     assert g.reverse().reverse().edges == g.edges
+
+
+def edge_map(g, directed):
+    """``(x, y) -> [edge, ...]`` in id order, both ways unless `directed`."""
+    out = {}
+    for e, s, r in g.edges:
+        out.setdefault((s, r), []).append(e)
+        if not directed:
+            out.setdefault((r, s), []).append(e)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bipartite())
+def test_spanning_tree_agrees_with_the_old_walks(g):
+    assert g.is_connected() == union_find_connected(g)
+    # the there-and-back steps on layer 0, shaped like the flat solve's vertical graph
+    steps = LayeredGraph("GG", [(v, 0) for v in g.src_vertices],
+                         [(f"{a}|{b}", s, t) for a, s, r in g.edges for b, t, u in g.edges
+                          if u == r], 0, 0)
+    # edge ids in the reverse of vertex order, so id order does not sort successors
+    flipped = LayeredGraph("F", g.vertices, [(f"f{len(g.edges) - i:02d}", s, r)
+                                             for i, (_, s, r) in enumerate(g.edges)], 0, 1)
+    for h in (g, g.reverse(), steps, flipped):
+        for root, _ in h.vertices:
+            for directed in (True, False):
+                assert spanning_tree(h, root, directed) == bfs_tree(edge_map(h, directed), root)
+    # the parity colouring of build_dynkin
+    for root, _ in g.vertices:
+        color = {root: 0}
+        for x, y, _ in spanning_tree(g, root, directed=False):
+            color[y] = 1 - color[x]
+        assert color == two_color([(s, r) for _, s, r in g.edges], root)

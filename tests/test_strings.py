@@ -15,7 +15,8 @@ from biunitary import (
 )
 from biunitary import ConnectionError, StringBasis, renormalize, vertical_product
 from biunitary.ladders import grid_counts
-from biunitary.strings import _constraint_blocks, _st2_gram, _vertical_tree
+from biunitary.graphs import LayeredGraph
+from biunitary.strings import _constraint_blocks, _reach_tree, _st2_gram
 
 from conftest import ALL_BUILDERS
 from loop_oracles import string_index
@@ -329,6 +330,11 @@ class TestFrobeniusSkip:
         assert gram_calls == [root_block(wn, 3), root_block(wn, 4)]
 
 
+def vertical_graph(edges):
+    """A vertical graph on one layer with the given ``(edge, x, y)`` edges."""
+    return LayeredGraph("V", [(v, 0) for _, x, y in edges for v in (x, y)], edges, 0, 0)
+
+
 class TestVertexBlockSolve:
     ORACLE_CASES = ([(name, k) for name in ALL_BUILDERS for k in (1, 2, 3, 4)]
                     + [("dynkin:D5", 5), ("dynkin:D5", 6), ("dynkin:E6", 5), ("dynkin:A7", 5),
@@ -356,20 +362,20 @@ class TestVertexBlockSolve:
         assert np.max(np.abs(st2_projector(res.vectors, g) - want)) < 1e-12
 
     def test_tree_reaches_depth_two(self):
-        by_pair = {("r", "r"): ["l"], ("r", "u"): ["e1", "e1b"],
-                   ("u", "v"): ["e2"], ("v", "r"): ["e3"], ("u", "r"): ["e4"]}
-        assert _vertical_tree(by_pair, "r") == [("r", "u", "e1"), ("u", "v", "e2")]
+        g = vertical_graph([("l", "r", "r"), ("e1", "r", "u"), ("e1b", "r", "u"),
+                                 ("e2", "u", "v"), ("e3", "v", "r"), ("e4", "u", "r")])
+        assert _reach_tree(g, "r") == [("r", "u", "e1"), ("u", "v", "e2")]
 
     def test_disconnected_graph_is_rejected(self):
-        by_pair = {("a", "a"): ["e0"], ("a", "b"): ["e1"], ("c", "d"): ["e2"]}
+        g = vertical_graph([("e0", "a", "a"), ("e1", "a", "b"), ("e2", "c", "d")])
         with pytest.raises(ConnectionError, match="c, d"):
-            _vertical_tree(by_pair, "a")
+            _reach_tree(g, "a")
 
     def test_isolated_required_vertex_is_rejected(self):
-        by_pair = {("a", "b"): ["e1"], ("b", "a"): ["e2"]}
-        assert _vertical_tree(by_pair, "a", ("a", "b")) == [("a", "b", "e1")]
+        g = vertical_graph([("e1", "a", "b"), ("e2", "b", "a")])
+        assert _reach_tree(g, "a", ("a", "b")) == [("a", "b", "e1")]
         with pytest.raises(ConnectionError, match="z"):
-            _vertical_tree(by_pair, "a", ("a", "b", "z"))
+            _reach_tree(g, "a", ("a", "b", "z"))
 
 
 class TestReflectedInputs:
