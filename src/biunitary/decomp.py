@@ -388,7 +388,7 @@ def _pf_dimension(m: np.ndarray) -> float:
 class _MultiplicitySolver:
     """Exact nonnegative integer solutions of ``sum_c N_c M_c = target``.
 
-    The left multiplicity matrices ``M_c`` of the labels, flattened, are
+    The multiplicity matrices ``M_c`` of the labels, flattened, are
     reduced once by fraction-free elimination in Python ints.  A label whose
     vector is independent of the earlier labels' is a pivot; the others are
     ``free``, and their multiplicities must be supplied (by a hom count).
@@ -442,25 +442,64 @@ class _MultiplicitySolver:
             "of the multiplicity-matrix identity")
 
 
-def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection]):
-    """``n_table`` by the exact multiplicity-matrix identities.
+def _vertical_counts(rep: Connection) -> np.ndarray:
+    """The left and right multiplicity matrices of `rep` as one block diagonal."""
+    m, r = rep.left.adjacency(), rep.right.adjacency()
+    zero = np.zeros((len(m), len(r)), dtype=np.int64)
+    return np.block([[m, zero], [zero.T, r]])
 
-    ``vertical_product(top, bottom)`` composes left edges top then bottom, so
-    ``vertical_product(rep_b, rep_a)`` has left multiplicity matrix
-    ``M_b @ M_a`` and ``sum_c N_ab^c M_c = M_b M_a``.  Products are formed
-    and hom spaces solved only for the free labels.
-    """
-    solver = _MultiplicitySolver([e.m for e in classes])
+
+def _conjugates(reps: dict[str, Connection], m_table: dict[str, np.ndarray]) -> dict[str, str]:
+    """The conjugate of every label by hom search: the one label ``b`` with
+    ``M_b == M_a^T`` that receives a hom from the bar of ``a``, of dimension 1."""
+    conj = {}
+    for a, rep in reps.items():
+        bar = renormalize(rep, "bar")
+        dims = {b: len(hom_space(bar, reps[b])) for b in reps
+                if np.array_equal(m_table[b], m_table[a].T)}
+        found = [b for b, n in dims.items() if n]
+        if len(found) != 1 or dims[found[0]] != 1:
+            raise DecompositionError(f"no unique conjugate for {a} in the hom search")
+        conj[a] = found[0]
+    if any(conj[conj[a]] != a for a in conj):
+        raise DecompositionError("the conjugates found by hom search are not an involution")
+    return conj
+
+
+def _fusion_tables(classes: list[_ClassEntry], reps: dict[str, Connection]):
+    """``n_table``: row ``(a, b)`` solves ``sum_c N_ab^c D_c = D_b D_a`` for
+    ``vertical_product(rep_b, rep_a)``, ``D_c`` the block diagonal of the left
+    and right multiplicity matrices.  With free labels, each solved entry
+    fills its duality orbit (conjugates from :func:`_conjugates`), and a row
+    forms its product and solves homs only for free entries still unfilled.
+    An orbit value at odds with a known one, or a non-associative table,
+    raises :class:`DecompositionError`."""
+    counts = [_vertical_counts(reps[e.label]) for e in classes]
+    solver = _MultiplicitySolver(counts)
+    labels = [e.label for e in classes]
+    conj = _conjugates(reps, {e.label: e.m for e in classes}) if solver.free else None
+    known: dict[tuple[str, str, str], int] = {}
     n_table: dict[tuple[str, str, str], int] = {}
-    for ea in classes:
-        for eb in classes:
-            free = {}
-            if solver.free:
-                prod = vertical_product(reps[eb.label], reps[ea.label])
-                free = {c: len(hom_space(reps[classes[c].label], prod)) for c in solver.free}
-            row = solver.solve(eb.m @ ea.m, free, f"{eb.label}*{ea.label}")
-            for ec, nc in zip(classes, row):
-                n_table[(ea.label, eb.label, ec.label)] = nc
+    for ia, a in enumerate(labels):
+        for ib, b in enumerate(labels):
+            free = {c: known[(a, b, labels[c])] for c in solver.free if (a, b, labels[c]) in known}
+            if len(free) < len(solver.free):
+                prod = vertical_product(reps[b], reps[a])
+                free |= {c: len(hom_space(reps[labels[c]], prod))
+                         for c in solver.free if c not in free}
+            row = solver.solve(counts[ib] @ counts[ia], free, f"{b}*{a}")
+            for c, nc in zip(labels, row):
+                n_table[(a, b, c)] = nc
+                if conj:    # the orbit of (a, b, c) under Frobenius reciprocity and conjugation
+                    a_, b_, c_ = conj[a], conj[b], conj[c]
+                    for k in sorted({(a, b, c), (a_, c, b), (b, c_, a_), (b_, a_, c_),
+                                     (c, b_, a), (c_, a, b_)}):
+                        if known.setdefault(k, nc) != nc:
+                            raise DecompositionError(f"{b}*{a} contains {c} {nc} times, "
+                                                     f"against N{k} = {known[k]} by duality")
+    n = np.array(list(n_table.values()), dtype=np.int64).reshape((len(labels),) * 3)
+    if not np.array_equal(np.einsum("abe,ecf->abcf", n, n), np.einsum("bce,aef->abcf", n, n)):
+        raise DecompositionError("the fusion table is not associative")
     return n_table
 
 
@@ -523,8 +562,9 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     appearing past ``max_depth`` powers.  The first-power multiplicities are
     the counts of the first product, ``W W-bar`` itself, certified by its
     exact multiplicity-matrix identity; the fusion table comes from a
-    certified integer solve of the identities (see :func:`_fusion_tables`),
-    and the conjugate of ``a`` is the one ``b`` with ``N_ab^1 == 1``.
+    certified integer solve of the identities on both vertical graphs, filled
+    by duality where they leave labels free, and exactly associative (see
+    :func:`_fusion_tables`); the conjugate of ``a`` is the one ``b`` with ``N_ab^1 == 1``.
     """
     birep = check_biunitarity(w_conn, max(tol, BIUNITARITY_FLOOR))
     if not birep.passed:

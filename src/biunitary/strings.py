@@ -28,6 +28,9 @@ from .nullspace import (EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budg
 # small systems' chunks narrow (verify-theorem E6 k5 0.066 -> 0.086 s, 2 cores),
 # and 2 MiB raised the theorem benchmark's peak RSS from 56.3 to 60.3 MiB.
 CHUNK_FLOOR_ENTRIES = 2 ** 16
+# Python bookkeeping per string (basis indices), path of length <= k and, four times, grid pair
+# (ladder block headers); tracemalloc saw at most 144, 247 and 1052 B on 12 builder-k cases.
+BOOK_BYTES = 256
 
 __all__ = [
     "TraceData",
@@ -146,6 +149,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     check_budget(need, what, "its half ladder")
     pathset = PathSet(g, k)
     lad = eng.half_ladder(pathset, k)
+    del eng     # its cell blocks and product connection are not needed past the half ladder
     total, scale = lad.pinned_defect(counts)
     if total <= EXACT_ZERO_EPS * max(1.0, scale):
         basis = StringBasis(w_conn.top, k, pathset)
@@ -166,7 +170,8 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     # most a row grid, at least a column) and three Kraus temporaries, each that or a product
     chunk, q = max(n0 * n0, CHUNK_FLOOR_ENTRIES), max(counts.values())
     most = max(min(chunk, n0 * q * q), n0 * q, max(blk[0].size for blk in lad.blocks.values()))
-    check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + 2 * n0) + 4 * most),
+    books = BOOK_BYTES * (sum(dims.values()) + sum(map(len, pathset.paths)) + 4 * len(counts) ** 2)
+    check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + 2 * n0) + 4 * most) + books,
                  what, f"its reach stacks, {'basis, ' * return_basis}constraints and Gram")
     basis = StringBasis(w_conn.top, k, pathset)
 

@@ -26,6 +26,7 @@ from biunitary.decomp import (
     _MultiplicitySolver,
     _hom_kernel,
     _span_distance,
+    _vertical_counts,
 )
 from biunitary.nullspace import HOM_RESIDUAL_EPS
 
@@ -289,6 +290,23 @@ class TestFusionData:
             assert np.max(np.abs(fd.m_table[a] @ mu - fd.d[a] * mu)) < 1e-8
 
 
+ORACLE_BUILDERS = ALL_BUILDERS + ["dynkin:E7", "dynkin:A11", "dynkin:A15"]
+
+
+@pytest.fixture(scope="module")
+def oracle_tables(systems):
+    """name -> ``(n_table, l_table, conj)`` of the all-hom oracle, computed once."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            s = systems(name)
+            cache[name] = (*hom_fusion_tables(s.fd, s.reps, s.wn), hom_conjugates(s.fd, s.reps))
+        return cache[name]
+
+    return get
+
+
 def left_counts(conn):
     """Left multiplicity matrix over sorted source and range vertices."""
     g = conn.left
@@ -308,13 +326,23 @@ class TestIntegerFusion:
             counts = [[len(c.left.edges_between(x, z)) for z in v0] for x in v0]
             assert np.array_equal(c.left.adjacency(), counts)
 
-    @pytest.mark.parametrize("name", ALL_BUILDERS + ["dynkin:E7", "dynkin:A11", "dynkin:A15"])
-    def test_tables_match_the_hom_oracle(self, systems, name):
+    @pytest.mark.parametrize("name", ORACLE_BUILDERS)
+    def test_tables_match_the_hom_oracle(self, systems, oracle_tables, name):
         s = systems(name)
-        n_table, l_table = hom_fusion_tables(s.fd, s.reps, s.wn)
+        n_table, l_table, conj = oracle_tables(name)
         assert list(n_table.items()) == list(s.fd.n_table.items())
         assert l_table == {(a, 1): s.fd.l_table[(a, 1)] for a in s.fd.labels}
-        assert hom_conjugates(s.fd, s.reps) == s.fd.conj
+        assert conj == s.fd.conj
+
+    @pytest.mark.parametrize("name", ORACLE_BUILDERS)
+    def test_oracle_tables_satisfy_duality_and_associativity(self, systems, oracle_tables, name):
+        labels = systems(name).fd.labels
+        n_table, _, conj = oracle_tables(name)
+        for (a, b, c), n in n_table.items():
+            assert n == n_table[(conj[a], c, b)] == n_table[(c, conj[b], a)]
+            assert n == n_table[(conj[b], conj[a], conj[c])]
+        n = np.array([[[n_table[(a, b, c)] for c in labels] for b in labels] for a in labels])
+        assert np.array_equal(np.einsum("abe,ecf->abcf", n, n), np.einsum("bce,aef->abcf", n, n))
 
     @pytest.mark.parametrize("name", ["dynkin:A4", "dynkin:A7", "dynkin:D5", "dynkin:E6"])
     def test_vertical_product_composes_left_edges_top_then_bottom(self, systems, name):
@@ -342,36 +370,95 @@ class TestIntegerFusion:
         fd = systems(name).fd
         assert len(_MultiplicitySolver([fd.m_table[a] for a in fd.labels]).free) == n_free
 
-    @staticmethod
-    def table_hom_solves(monkeypatch, conn):
-        """Discovery on ``conn``, and the hom solves made while filling its tables."""
-        calls = []
-        hom, tables = biunitary.decomp.hom_space, biunitary.decomp._fusion_tables
+    @pytest.mark.parametrize("name,n_free", [("dynkin:A7", 0), ("dynkin:D5", 1),
+                                             ("dynkin:E7", 2), ("dynkin:D7", 2)])
+    def test_free_label_counts_on_both_vertical_graphs(self, systems, name, n_free):
+        s = systems(name)
+        counts = {a: _vertical_counts(s.reps[a]) for a in s.fd.labels}
+        assert len(_MultiplicitySolver(list(counts.values())).free) == n_free
+        # the left block is M_a, and the identity holds on the right graphs as well
+        nl = len(s.fd.v0)
+        for a in s.fd.labels:
+            assert np.array_equal(counts[a][:nl, :nl], s.fd.m_table[a])
+            assert not counts[a][:nl, nl:].any() and not counts[a][nl:, :nl].any()
+            for b in s.fd.labels:
+                total = sum(s.fd.n_table[(a, b, c)] * counts[c] for c in s.fd.labels)
+                assert np.array_equal(total, counts[b] @ counts[a])
 
-        def counted(src, dst):
-            calls.append((src, dst))
-            return hom(src, dst)
+    @staticmethod
+    def table_calls(monkeypatch, conn):
+        """Discovery on ``conn``, and the hom solves and the products made while
+        filling its tables."""
+        calls = {"hom_space": 0, "vertical_product": 0}
+        tables = biunitary.decomp._fusion_tables
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
 
         def counted_tables(*args):
-            monkeypatch.setattr(biunitary.decomp, "hom_space", counted)
-            try:
+            with pytest.MonkeyPatch.context() as m:
+                for name in calls:
+                    m.setattr(biunitary.decomp, name, counting(name, getattr(biunitary.decomp, name)))
                 return tables(*args)
-            finally:
-                monkeypatch.setattr(biunitary.decomp, "hom_space", hom)
 
         monkeypatch.setattr(biunitary.decomp, "_fusion_tables", counted_tables)
         fd, _, _ = discover_irreducibles(conn)
-        return fd, len(calls)
+        return fd, calls["hom_space"], calls["vertical_product"]
 
     def test_full_rank_discovery_solves_no_hom_for_the_tables(self, monkeypatch):
-        fd, solves = self.table_hom_solves(monkeypatch, build_dynkin("A7"))
+        fd, solves, products = self.table_calls(monkeypatch, build_dynkin("A7"))
         assert len(fd.labels) == 4
-        assert solves == 0
+        assert solves == products == 0
 
-    def test_rank_deficient_discovery_solves_homs_for_free_labels_only(self, monkeypatch):
-        fd, solves = self.table_hom_solves(monkeypatch, build_dynkin("D5"))
-        # two free labels: one solve each per ordered pair
-        assert solves == 2 * len(fd.labels) ** 2
+    @pytest.mark.parametrize("name,searches,entries,products", [
+        pytest.param("D5", 8, 10, 10, id="D5"),
+        pytest.param("E7", 12, 27, 21, id="E7"),
+        pytest.param("D7", 12, 31, 21, id="D7")])
+    def test_rank_deficient_discovery_solves_homs_for_free_labels_only(
+            self, monkeypatch, name, searches, entries, products):
+        # one solve per conjugate candidate (D5: 4 labels, 2 candidates each; E7 and
+        # D7: 6 labels, 12 candidates), then one per free entry that no duality orbit
+        # has filled, in the only rows that form their product: D5 has 1 free label
+        # in 16 rows, E7 and D7 2 in 36
+        fd, solves, formed = self.table_calls(monkeypatch, build_dynkin(name))
+        assert solves == searches + entries
+        assert formed == products
+
+    def test_a_row_that_contradicts_duality_is_refused(self, monkeypatch):
+        solve = _MultiplicitySolver.solve
+
+        def corrupted(self, target, free, what):
+            row = solve(self, target, free, what)
+            return [1, *row[1:]] if what == "a1*a0" else row
+
+        monkeypatch.setattr(_MultiplicitySolver, "solve", corrupted)
+        # N_{a0 a1}^{a0} = 1 spreads to N_{a0 a0}^{a1}, which the row a0*a0 set to 0
+        with pytest.raises(DecompositionError,
+                           match=r"^a1\*a0 contains a0 1 times, against N\('a0', 'a0', 'a1'\) = 0 "):
+            discover_irreducibles(build_dynkin("D5"))
+
+    def test_a_row_that_breaks_associativity_is_refused(self, monkeypatch):
+        solve = _MultiplicitySolver.solve
+
+        def corrupted(self, target, free, what):
+            row = solve(self, target, free, what)
+            return [row[0] + 1, *row[1:]] if what == "a2*a1" else row
+
+        monkeypatch.setattr(_MultiplicitySolver, "solve", corrupted)
+        # A5 is full rank, so no duality orbit sees the row; only associativity does
+        with pytest.raises(DecompositionError, match="^the fusion table is not associative$"):
+            discover_irreducibles(build_dynkin("A5"))
+
+    def test_a_conjugate_search_with_two_answers_is_refused(self, monkeypatch):
+        hom = biunitary.decomp.hom_space
+        # every hom from a bar connection answers, so both of a0's candidates, a0 and a1, do
+        monkeypatch.setattr(biunitary.decomp, "hom_space",
+                            lambda src, dst: [None] if src.name.endswith("~") else hom(src, dst))
+        with pytest.raises(DecompositionError, match="^no unique conjugate for a0 in the hom search$"):
+            discover_irreducibles(build_dynkin("D5"))
 
     @pytest.mark.parametrize("entries", [
         {("a1", "a1", "a0"): 0},                          # no partner
