@@ -20,7 +20,9 @@ half-ladder blocks or stacks would exceed it; ``verify-theorem`` solves
 its largest k first, so an oversized k is refused before any other solve.
 A JSON report writes the ``pmpo --dump`` matrix and the ``relcomm --basis``
 vectors row by row, each entry as the string ``"a+bj"`` or ``"a-bj"`` with
-both parts to 17 significant digits.  For ``relcomm``,
+both parts in the bytes of Python's ``%.17g``: a numpy kernel spells the
+parts of dense chunks exactly, and Python's ``%`` takes the rest (sparse
+chunks, non-finite parts, 3-digit exponents, near-ties).  For ``relcomm``,
 ``FORMATTED_ENTRY_BYTES`` per entry count against the same budget (exit 2
 before formatting); ``pmpo``'s two-array pre-flight already counts more.  A
 table report prints neither, so it formats neither.
@@ -61,8 +63,8 @@ REPORT_VERSION = 1
 # Peak memory per matrix entry formatted into a JSON report, its complex
 # array included, as the rise in peak RSS over the same report without the
 # matrix on trivial 3 at k = 3 (531,441 entries each), written row by row:
-# at most 22.8 B (relcomm --basis) and 0.8 B (pmpo --dump) in three runs,
-# rounded up; below pmpo's 32 B of dense arrays, so only relcomm checks it.
+# at most 16.4 B (relcomm --basis) and 0.7 B (pmpo --dump) in three runs,
+# under 24 B; below pmpo's 32 B of dense arrays, so only relcomm checks it.
 FORMATTED_ENTRY_BYTES = 24
 # Peak memory per cell of a builtin trivial <d> or cyclic <n>, checked before
 # any cell is built: the rise in peak RSS of ``builtin trivial 300`` over
@@ -72,6 +74,114 @@ _BUILTIN_CELL_BYTES = 1024
 
 # Stands in for the matrix of a report while the rest is encoded as JSON
 _MATRIX = "\0matrix\0"
+# Parts per call of the formatting kernel, and the fewest nonzero parts worth one
+_CHUNK, _FEW_PARTS = 2048, 256
+_PLUS = np.arange(_CHUNK) % 2 == 1                 # the imaginary parts of a chunk
+_U, _SPLIT = np.uint64, 134217729.0                # 2^27 + 1, Veltkamp's constant
+
+
+def _exponent_tables():
+    """Per E = -99..99, by integer arithmetic: the least double >= 10^E; hi, the double nearest
+    10^(16-E), its Veltkamp halves, lo nearest the rest; the rounding counted as near a tie."""
+    tens, scales = [], []
+    for e in range(-99, 100):
+        num, den = 10 ** max(e, 0), 10 ** max(-e, 0)
+        n, d = (num / den).as_integer_ratio()
+        tens.append(n / d if n * den >= num * d else math.nextafter(n / d, math.inf))
+        n, d = (hi := 10 ** 16 * den / num).as_integer_ratio()
+        scales.append((hi, (10 ** 16 * den * d - n * num) / (num * d)))
+    hi, lo = np.array(scales).T
+    hh = hi * _SPLIT - (hi * _SPLIT - hi)
+    return np.array(tens), np.stack([hi, hh, hi - hh, lo]), np.where(lo != 0, 0.5 - 1e-11, 0.5)
+
+
+_TENS, _SCALES, _NEAR_TIE = _exponent_tables()
+# Per E: the suffix "e-EE" or "e+EE" of the exponent form, a '.' after the first q digits
+# (24: none), and z: the part reads "0." and z - 1 zeros before its digits
+_E = np.arange(-99, 100)
+_FIXED = (_E >= -4) & (_E <= 16)
+_SUFFIX = np.array([int.from_bytes(b"e%+03d" % e, "little") for e in _E], dtype=_U) * ~_FIXED
+_Q, _Z = np.where(_FIXED, np.where(_E >= 0, _E + 1, 24), 1), np.where(_FIXED & (_E < 0), -_E, 0)
+# Strings of up to 24 bytes are three little-endian words: _LOW[:, k] keeps the first
+# k bytes, _DOT[:, k] is a '.' at byte k, _ASCII[:, k] makes the first k digits ASCII,
+# and a word moved to byte k shifts up by _UP[:, k] and down by -_UP[:, k]
+_LOW = np.array([[(1 << 8 * min(max(k - 8 * j, 0), 8)) - 1 for k in range(26)]
+                 for j in range(3)], dtype=_U)
+_DOT, _ASCII = (_LOW[:, 1:] ^ _LOW[:, :-1]) & _U(0x2E2E2E2E2E2E2E2E), _LOW & _U(0x3030303030303030)
+_UP = (8 * np.arange(18) - np.array([[0], [64], [128]])).astype(_U)    # wrapped counts give 0
+# Per sign ('', '+', '-', '-' for plus + 2 signbit) and z: the prefix and its bits
+_PREFIX = [s + b"0." + b"0" * (z - 1) if z else s for s in (b"", b"+", b"-", b"-")
+           for z in range(5)]
+_PREFIX_BITS = np.array([8 * len(s) for s in _PREFIX], dtype=_U)
+_PREFIX = np.array([int.from_bytes(s, "little") for s in _PREFIX], dtype=_U)
+_ZERO_TEXT = np.array([b"0", b"+0", b"-0", b"-0"], dtype="S24")
+
+
+def _g17(x: np.ndarray, plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%+.17g" if p else "%.17g"`` of each ``x``, ``plus``, as S24, and where it is unset.
+
+    The digits of a part with exponent E are round(|x| 10^(16-E)) half to even: hi |x| as an
+    exact Dekker two-product, plus lo |x|.  Unset: nonzero |x| outside [1e-99, 1e99), NaN,
+    inf, and roundings within 1e-11 of a tie where 10^(16-E) is not a double.
+    """
+    a = np.abs(x)
+    zero, ok = a == 0, (a >= 1e-99) & (a < 1e99)
+    a[~ok] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64) + 99      # E + 99, or one off it
+    e += np.subtract(a >= _TENS.take(e + 1, mode="clip"), a < _TENS.take(e, mode="clip"), dtype=e.dtype)
+    hi, hh, hl, lo = _SCALES.take(e, axis=1)
+    ph, t = a * hi, a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    r = al * hl - (((ph - ah * hh) - al * hh) - ah * hl) + a * lo
+    n = np.rint(r)
+    slow = ~(ok | zero) | (np.abs(r - n) > _NEAR_TIE.take(e))
+    d = (ph.astype(_U) + n.astype(np.int64).view(_U)) * ~zero
+    del a, ph, t, ah, al, r, n, hi, hh, hl, lo      # a smaller working set for the digits
+    carry = d == 10 ** 17                    # rounded up to the next decade
+    d[carry] = 10 ** 16
+    e += carry
+    # the 17 digits as bytes 0..9, leading digit first, in words of 8 + 1 + 8
+    w = d // _U(10 ** 9)
+    d -= w * _U(10 ** 9)
+    d8 = d // _U(10 ** 8)
+    w = np.stack([w, d - d8 * _U(10 ** 8)])
+    for div, mul, shift, lane, mask in ((10 ** 4, 109951163, 40, 32, 2 ** 14 - 1),
+                                        (100, 5243, 19, 16, 0x0000007F0000007F),
+                                        (10, 103, 10, 8, 0x000F000F000F000F)):
+        hi = ((w * _U(mul)) >> _U(shift)) & _U(mask)      # w // div in each lane
+        w = hi | ((w - hi * _U(div)) << _U(lane))
+    v = np.stack([w[0], d8 | (w[1] << _U(8)), w[1] >> _U(56)])
+    del w, d, d8
+    # kd digits kept: up to the last nonzero one, and the integer part
+    nb = (np.frexp(v)[1] + 7) >> 3
+    q = _Q.take(e)
+    kd = np.maximum(np.where(v[2] != 0, 17, np.where(v[1] != 0, 8 + nb[1], nb[0])), q % 24)
+    v |= _ASCII.take(kd, axis=1)
+    s = _SUFFIX.take(e)
+    up = _UP.take(kd, axis=1)
+    v |= (s << up) | (s >> -up)
+    q[kd <= q] = 24
+    low = v & _LOW.take(q, axis=1)
+    v ^= low
+    low |= _DOT.take(q, axis=1) | (v << _U(8))
+    low[1:] |= v[:-1] >> _U(56)
+    k = 5 * (plus + 2 * np.signbit(x)) + _Z.take(e)
+    bits = _PREFIX_BITS.take(k)
+    w = low << bits
+    w[1:] |= low[:-1] >> (_U(64) - bits)
+    w[0] |= _PREFIX.take(k)
+    return np.ascontiguousarray(w.T, dtype="<u8").view("S24")[:, 0], slow
+
+
+def _format_parts(x: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """``"%+.17g" if p else "%.17g"`` of each ``x``, ``plus``, as S24: by :func:`_g17`
+    if many are nonzero, else zeros as constants; the rest by Python's ``%``."""
+    sparse = np.count_nonzero(x) < _FEW_PARTS
+    text, slow = (_ZERO_TEXT.take(plus + 2 * np.signbit(x)), x != 0) if sparse else _g17(x, plus)
+    for i in np.flatnonzero(slow).tolist():
+        text[i] = (b"%+.17g" if plus[i] else b"%.17g") % x[i]
+    return text
 
 
 def _write_matrix(write, mat: np.ndarray) -> None:
@@ -80,23 +190,29 @@ def _write_matrix(write, mat: np.ndarray) -> None:
     The bytes are those of ``json.dumps(..., indent=1)`` on the list of rows of
     ``"a+bj"`` strings: each part to 17 significant digits, the sign ``+``
     when the imaginary part is ``>= 0`` and ``-`` otherwise, so -0.0 is
-    written ``+0`` and a NaN imaginary part ``-nan``.  Each row is one ``%``
-    operation on a template, applied to its interleaved real and imaginary
-    parts; adding 0.0 to the imaginary part turns -0.0 into +0.0.
+    written ``+0`` and a NaN imaginary part ``-nan``.  Adding 0.0 to the
+    imaginary parts turns -0.0 into +0.0; :func:`_format_parts` formats the
+    parts of a block of rows in fixed chunks, and each row is one ``%``
+    operation on a template of ``%s`` fields.
     """
     rows, cols = mat.shape
     if rows == 0:
         write("[]")
         return
-    cells = ",\n".join(['   "%.17g%+.17gj"'] * cols)
+    cells = ",\n".join(['   "%s%sj"'] * cols)
     template = f"  [\n{cells}\n  ]" if cols else "  []"
-    parts = np.empty((cols, 2))
+    step = max(1, _CHUNK // max(2 * cols, 1))
     write("[\n")
-    for i, row in enumerate(mat):
-        parts[:, 0] = row.real
-        np.add(row.imag, 0.0, out=parts[:, 1])
-        write((template % tuple(parts.ravel().tolist())).replace("+nanj", "-nanj"))
-        write(",\n" if i + 1 < rows else "\n ]")
+    for i0 in range(0, rows, step):
+        parts = np.array(mat[i0:i0 + step], dtype=complex, order="C").view(np.float64).ravel()
+        parts[1::2] += 0.0
+        text = np.empty(len(parts), dtype="S24")
+        for j in range(0, len(parts), _CHUNK):
+            text[j:j + _CHUNK] = _format_parts(parts[j:j + _CHUNK], _PLUS[:len(parts) - j])
+        for i, row in enumerate(text.reshape(min(step, rows - i0), 2 * cols), i0):
+            row = row.view(np.uint8).astype(np.uint32).view("U24")     # str, not bytes, items
+            write((template % tuple(row.tolist())).replace("+nanj", "-nanj"))
+            write(",\n" if i + 1 < rows else "\n ]")
 
 
 def _build_builtin(tokens: list[str]) -> Connection:

@@ -30,6 +30,7 @@ from .nullspace import (EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budg
 CHUNK_FLOOR_ENTRIES = 2 ** 16
 # Python bookkeeping per string (basis indices), path of length <= k and, four times, grid pair
 # (ladder block headers); tracemalloc saw at most 144, 247 and 1052 B on 12 builder-k cases.
+# The half-ladder pre-flight counts it once per grid pair of its last two states.
 BOOK_BYTES = 256
 
 __all__ = [
@@ -145,7 +146,9 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     counts = grid_counts(g, k)
     what = f"flat solve at k={k} on {sum(counts.values())} paths"
     # the sweep holds two consecutive states, and the last two are the largest
-    need = 16 * (eng.block_entries(grid_counts(g, k - 1), k - 1) + eng.block_entries(counts, k))
+    last = grid_counts(g, k - 1)
+    need = (16 * (eng.block_entries(last, k - 1) + eng.block_entries(counts, k))
+            + BOOK_BYTES * (len(last) ** 2 + len(counts) ** 2))
     check_budget(need, what, "its half ladder")
     pathset = PathSet(g, k)
     lad = eng.half_ladder(pathset, k)

@@ -271,9 +271,11 @@ def test_non_integral_trace_is_numeric_failure(capsys, monkeypatch):
 
 
 def half_ladder_bytes(conn, k):
-    """The blocks of the flat solve's last two half-ladder states."""
+    """The blocks of the flat solve's last two half-ladder states, and 256 B
+    per grid pair of each for their headers and keys."""
     eng = LadderEngine(_constraint_blocks(conn))
-    return 16 * sum(eng.block_entries(grid_counts(conn.top, j), j) for j in (k - 1, k))
+    counts = {j: grid_counts(conn.top, j) for j in (k - 1, k)}
+    return sum(16 * eng.block_entries(c, j) + 256 * len(c) ** 2 for j, c in counts.items())
 
 
 def stack_bytes(conn, k, basis=False):
@@ -336,7 +338,8 @@ def test_oversized_flat_solve_stops_before_allocating():
     pytest.param(name, k, basis, id=f"{name}-{k}" + "-basis" * basis)
     for basis in (False, True)
     for name, k in [("dynkin:D5", 6), ("dynkin:E6", 5), ("cyclic:4", 5), ("trivial:3", 4),
-                    ("dynkin:E6", 4), ("dynkin:A7", 5)]])
+                    ("dynkin:E6", 4), ("dynkin:A7", 5), ("cyclic:5", 3), ("cyclic:4", 3),
+                    ("cyclic:3", 3)]])
 def test_flat_preflight_bounds_the_traced_peak(systems, name, k, return_basis):
     # trivial 3 takes the exact shortcut; the others chunk their constraints
     wn = systems(name).wn
