@@ -23,7 +23,6 @@ from .connection import (
     Cell,
     Connection,
     ConnectionError,
-    OrientedCellQuery,
     SquareReport,
     UnitarityReport,
     build_cyclic_group,
@@ -34,8 +33,6 @@ from .connection import (
     check_unitarity,
     connection_from_document,
     connection_to_document,
-    extended_value,
-    horizontal_product,
     read_connection,
     renormalize,
     validate_square,

@@ -77,6 +77,10 @@ class Ladder:
     def __init__(self, blocks: dict, anchors):
         self.blocks = blocks
         self.anchors = anchors      # the left vertical graph
+        # the blocks into each row grid from each anchor source x: {(x, row): [(col, blk)]}
+        self._into: dict = {}
+        for (col, row), blk in blocks.items():
+            self._into.setdefault((col[0], row), []).append((col, blk))
 
     @property
     def nbytes(self) -> int:
@@ -105,9 +109,7 @@ class Ladder:
             raise ConnectionError("boundary edges must share both endpoints")
         i1, i2 = (left.edges_between(x, y).index(z) for z in (zeta1, zeta2))
         n, c = len(out), out.shape[2]
-        for (col, r), blk in self.blocks.items():
-            if r != row or col[0] != x:
-                continue
+        for col, blk in self._into.get((x, row), ()):
             _, nb, p, q = blk.shape
             lt = blk[i1].reshape(nb * p, q)
             rt = np.conj(blk[i2][:, :, cols]).transpose(1, 0, 2).reshape(p, nb * c)
@@ -167,6 +169,15 @@ class LadderEngine:
         bonds = self.conn.right if k % 2 == 1 else left
         return sum(len(left.edges_between(x, y)) * len(bonds.edges_between(u, v)) * np_ * nq
                    for (x, u), np_ in counts.items() for (y, v), nq in counts.items())
+
+    def product_entries(self, counts: dict[tuple[str, str], int], k: int) -> int:
+        """Entries of the largest column product ``m @ flat`` of sweep step k,
+        from the grid sizes at k - 1 alone: an upper bound."""
+        left = self.conn.left
+        bonds = Counter((s, r) for _, s, r in (self.conn.right if k % 2 == 1 else left).edges)
+        return max(bonds.values()) * max(len(left.edges_between(x, y)) * np_ * nq
+                                         for (x, _), np_ in counts.items()
+                                         for (y, _), nq in counts.items())
 
     def half_ladder(self, pathset: PathSet, k: int) -> Ladder:
         """Contract k alternating columns with fixed boundary bonds: each

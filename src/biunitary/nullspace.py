@@ -98,13 +98,15 @@ def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],
 
 def stacked_null_space(n: int, stacks,
                        vectors: bool) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """``gram_null_space`` of the flatness system stacked from ``stacks`` on n unknowns.
+    """``gram_null_space`` of the flatness system stacked from ``stacks`` on n real unknowns.
 
     Row j of each stack is the image of unknown j under one group of
-    equations, and the Gram sums ``conj(c) c^T``, in real products, over the
-    stacks not left out under ``FROBENIUS_SKIP_SQ``.  When all are left out
-    no Gram is formed: the mask is all true, the vectors are the identity,
-    and their Frobenius norm, which bounds sigma_max, is returned for it.
+    equations, whose real and imaginary parts are each an equation, so the
+    real Gram sums ``Re(conj(c) c^T)``, one real product ``s s^T`` of each
+    stack's float64 view s, over the stacks not left out under
+    ``FROBENIUS_SKIP_SQ``.  When all are left out no Gram is formed: the mask
+    is all true, the vectors are the identity, and their Frobenius norm,
+    which bounds sigma_max, is returned for it.
     """
     left_out, gram = 0.0, None
     for c in stacks:
@@ -113,16 +115,11 @@ def stacked_null_space(n: int, stacks,
             left_out += c2
         else:
             if gram is None:
-                gram = np.zeros((n, n), dtype=complex)
-            c = np.ascontiguousarray(c.reshape(n, -1))
-            # the real part is one symmetric product of the interleaved parts
-            s = c.view(np.float64)
-            gram.real += s @ s.T
-            m = c.real @ c.imag.T
-            gram.imag += m - m.T
-            del s, m
+                gram = np.zeros((n, n))
+            s = np.ascontiguousarray(c.reshape(n, -1)).view(np.float64)
+            gram += s @ s.T
+            del s
         del c       # the next stack is formed without this one
     if gram is None:
-        return (np.ones(n, dtype=bool), np.eye(n, dtype=complex) if vectors else None,
-                math.sqrt(left_out))
+        return np.ones(n, dtype=bool), np.eye(n) if vectors else None, math.sqrt(left_out)
     return gram_null_space(gram, vectors, RuntimeError, "flatness system has no clean spectral gap")

@@ -30,8 +30,12 @@ from .nullspace import (EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budg
 CHUNK_FLOOR_ENTRIES = 2 ** 16
 # Python bookkeeping per string (basis indices), path of length <= k and, four times, grid pair
 # (ladder block headers); tracemalloc saw at most 144, 247 and 1052 B on 12 builder-k cases.
-# The half-ladder pre-flight counts it once per grid pair of its last two states.
+# The half-ladder pre-flight counts it twice per grid pair of its last two states (the sweep
+# alone traced up to 356 B per grid pair over its blocks, cyclic 5 k3), and 16 times for the
+# headers and frames of its transients (1648 B over the rest on trivial 2 and 3).
 BOOK_BYTES = 256
+# The sweep's fancy-index add traces four times its column product ``m @ flat``.
+PRODUCT_COPIES = 4
 
 __all__ = [
     "TraceData",
@@ -130,25 +134,40 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     graph must therefore reach every base vertex from ``*``; otherwise
     ConnectionError is raised.
 
+    The system commutes with the string adjoint, ``(T_{z1 z2} f)^* =
+    T_{z2 z1}(f^*)``, so its complex null space is spanned by Hermitian
+    fields and has the real dimension of the system on them.  The unknowns
+    are the real coefficients of the Hermitian coordinates of ``B_k(*)``,
+    grid by grid ``E_aa``, ``(E_ab + E_ba)/√2`` and ``i(E_ab - E_ba)/√2``, a
+    unitary change from the unit strings that keeps the Gram spectrum.  On
+    Hermitian fields the (z2, z1) constraint is the adjoint of the (z1, z2)
+    one, so only z1 <= z2 is formed, the off-diagonal ones times √2, and
+    the Gram is real.
+
     Each ``R_x`` is held as per-grid stacks ``(n0, P, P)`` that the
     transports act on in Kraus form, and ``C`` as one stack per column chunk
     of a row grid, of about ``max(n0^2, CHUNK_FLOOR_ENTRIES)`` entries, for
     ``stacked_null_space``, so no transport matrix is formed.
 
     Returns the dimension and, on request, an st-2 orthonormal basis of
-    flat fields, rebuilt in one array as ``R_x v`` while the reach stacks
-    are dropped.  When every constraint vanishes identically the whole string
-    space is flat and no system is formed.  ValueError is raised before the
-    half ladder, the stacks and basis or the shortcut's basis would exceed
+    flat fields, rebuilt in one complex array as ``R_x v`` from the real
+    null vectors v while the reach stacks are dropped.  When every
+    constraint vanishes identically the whole string space is flat and no
+    system is formed.  ValueError is raised before the half ladder, the
+    stacks and basis or the shortcut's basis would exceed
     ``DENSE_BUDGET_BYTES``.
     """
     eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
     counts = grid_counts(g, k)
     what = f"flat solve at k={k} on {sum(counts.values())} paths"
-    # the sweep holds two consecutive states, and the last two are the largest
+    # the sweep holds two consecutive states, the last two the largest, and the copies of
+    # its largest column product over the last two steps
     last = grid_counts(g, k - 1)
-    need = (16 * (eng.block_entries(last, k - 1) + eng.block_entries(counts, k))
-            + BOOK_BYTES * (len(last) ** 2 + len(counts) ** 2))
+    product = max(eng.product_entries(grid_counts(g, j - 1), j)
+                  for j in range(max(1, k - 1), k + 1))
+    need = (16 * (eng.block_entries(last, k - 1) + eng.block_entries(counts, k)
+                  + PRODUCT_COPIES * product)
+            + BOOK_BYTES * (2 * (len(last) ** 2 + len(counts) ** 2) + 16))
     check_budget(need, what, "its half ladder")
     pathset = PathSet(g, k)
     lad = eng.half_ladder(pathset, k)
@@ -169,12 +188,12 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     dims = {x: sum(counts[key] ** 2 for key in keys) for x, keys in rows.items()}
     root = min(dims, key=lambda x: (dims[x], x))
     n0 = dims[root]
-    # the reach stacks (and as large a basis), the Gram twice, a constraint's column chunk (at
-    # most a row grid, at least a column) and three Kraus temporaries, each that or a product
+    # the reach stacks (and as large a basis), the real Gram twice, a constraint's column chunk
+    # (at most a row grid, at least a column) and three Kraus temporaries, each that or a product
     chunk, q = max(n0 * n0, CHUNK_FLOOR_ENTRIES), max(counts.values())
     most = max(min(chunk, n0 * q * q), n0 * q, max(blk[0].size for blk in lad.blocks.values()))
     books = BOOK_BYTES * (sum(dims.values()) + sum(map(len, pathset.paths)) + 4 * len(counts) ** 2)
-    check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + 2 * n0) + 4 * most) + books,
+    check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + n0) + 4 * most) + books,
                  what, f"its reach stacks, {'basis, ' * return_basis}constraints and Gram")
     basis = StringBasis(w_conn.top, k, pathset)
 
@@ -182,10 +201,8 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
         width = max(1, chunk // (n0 * counts[row]))
         return [slice(c, c + width) for c in range(0, counts[row], width)]
     # per grid (x, u): the stack (n0, P, P) of R_x on it
-    eye, start = np.eye(n0, dtype=complex), basis.block_slices[root].start
-    reach = {key: eye[:, basis.grids[key].ravel() - start].reshape(n0, counts[key], -1)
-             for key in rows[root]}
-    del eye
+    start = basis.block_slices[root].start
+    reach = {key: _hermitian_stack(n0, basis.grids[key] - start) for key in rows[root]}
     tree = _reach_tree(lad.anchors, root, basis.base_vertices)
     for _, y, zeta in tree:
         for row in rows[y]:
@@ -197,22 +214,28 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     def constraints():
         for x, y in sorted({(s, r) for _, s, r in lad.anchors.edges}):
             edges = lad.anchors.edges_between(x, y)
-            for z1 in edges:
-                for z2 in edges:
+            for i, z1 in enumerate(edges):
+                for z2 in edges[i:]:
                     # T R_x - R_y is exactly zero on a tree edge: R_y was set to T R_x
                     if z1 == z2 and z1 in tree_edges:
                         continue
                     for row in rows[y]:
                         for cs in chunks(row):
                             r = reach[row][:, :, cs]
-                            yield lad.add_pinned_transport(
-                                z1, z2, reach, row, cs, -r if z1 == z2 else np.zeros_like(r))
+                            if z1 == z2:
+                                yield lad.add_pinned_transport(z1, z2, reach, row, cs, -r)
+                            else:   # it stands for itself and its adjoint, the (z2, z1) one
+                                c = lad.add_pinned_transport(z1, z2, reach, row, cs,
+                                                             np.zeros_like(r))
+                                c *= math.sqrt(2.0)
+                                yield c
+                                del c   # the next chunk is formed without this one
 
     null, evecs, _ = stacked_null_space(n0, constraints(), return_basis)
     dim = int(np.count_nonzero(null))
     vecs = None
     if return_basis and dim:
-        v0 = evecs[:, null]
+        v0 = evecs[:, null].astype(complex)
         # the fields R_x v0, one path row at a time, each reach stack dropped once read
         vecs = np.zeros((basis.dim, dim), dtype=complex)
         for key in list(reach):
@@ -230,6 +253,20 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
         for b in blocks:
             vecs[b] = vecs[b] @ eu
     return FlatFieldResult(dimension=dim, basis=basis, vectors=vecs, exact=False)
+
+
+def _hermitian_stack(n0: int, idx: np.ndarray) -> np.ndarray:
+    """The stack (n0, P, P) of the unknowns ``idx`` (P, P) on one grid, in
+    Hermitian coordinates: ``E_aa`` at (a, a), and for a < b
+    ``(E_ab + E_ba)/√2`` at (a, b) and ``i(E_ab - E_ba)/√2`` at (b, a)."""
+    p, h = len(idx), math.sqrt(0.5)
+    out = np.zeros((n0, p, p), dtype=complex)
+    d = np.arange(p)
+    out[idx[d, d], d, d] = 1.0
+    a, b = np.triu_indices(p, 1)
+    out[idx[a, b], a, b] = out[idx[a, b], b, a] = h
+    out[idx[b, a], a, b], out[idx[b, a], b, a] = 1j * h, -1j * h
+    return out
 
 
 def _st2_gram(basis: StringBasis, w_conn: Connection, k: int) -> np.ndarray:

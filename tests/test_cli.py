@@ -11,7 +11,7 @@ import pytest
 import biunitary.cli
 import biunitary.nullspace
 import biunitary.strings
-from biunitary import LadderEngine, build_dynkin, connection_to_document
+from biunitary import LadderEngine, PathSet, build_dynkin, connection_to_document
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
 from biunitary.ladders import grid_counts
@@ -271,15 +271,28 @@ def test_non_integral_trace_is_numeric_failure(capsys, monkeypatch):
 
 
 def half_ladder_bytes(conn, k):
-    """The blocks of the flat solve's last two half-ladder states, and 256 B
-    per grid pair of each for their headers and keys."""
+    """The blocks of the flat solve's last two half-ladder states, 512 B per
+    grid pair of each for their headers and keys, 4 KiB for the headers of
+    the sweep's transients, and four copies of the largest column product
+    ``m @ flat`` of the last two steps: anchors x -> y, times the bonds of the
+    step's most multiple edge, times |P(x -> u)| |P(y -> v)| at the step
+    before."""
     eng = LadderEngine(_constraint_blocks(conn))
     counts = {j: grid_counts(conn.top, j) for j in (k - 1, k)}
-    return sum(16 * eng.block_entries(c, j) + 256 * len(c) ** 2 for j, c in counts.items())
+    blocks = sum(16 * eng.block_entries(c, j) + 512 * len(c) ** 2 for j, c in counts.items())
+    product = 0
+    for j in range(max(1, k - 1), k + 1):
+        before = grid_counts(conn.top, j - 1)
+        bonds = eng.conn.right if j % 2 == 1 else eng.conn.left
+        most = max(len(bonds.edges_between(s, r)) for _, s, r in bonds.edges)
+        product = max(product, most * max(len(eng.conn.left.edges_between(x, y)) * p * q
+                                          for (x, _), p in before.items()
+                                          for (y, _), q in before.items()))
+    return blocks + 4096 + 4 * 16 * product
 
 
 def stack_bytes(conn, k, basis=False):
-    """The flat solve's reach stacks on n0 fields, its Gram twice, and four
+    """The flat solve's reach stacks on n0 fields, its real Gram twice, and four
     column chunks of a constraint (one chunk and the Kraus temporaries), each
     of max(n0^2, 2^16) entries but no more than the largest row grid, and at
     least one column of it; with a basis, a second array as large as the
@@ -293,7 +306,7 @@ def stack_bytes(conn, k, basis=False):
     chunk = max(min(max(n0 * n0, 2 ** 16), n0 * q * q), n0 * q)
     paths = sum(sum(grid_counts(conn.top, j).values()) for j in range(k + 1))
     books = 256 * (sum(dims.values()) + paths + 4 * len(counts) ** 2)
-    return 16 * (n0 * ((1 + basis) * sum(dims.values()) + 2 * n0) + 4 * chunk) + books
+    return 16 * (n0 * ((1 + basis) * sum(dims.values()) + n0) + 4 * chunk) + books
 
 
 def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
@@ -313,7 +326,7 @@ def test_flat_solve_over_memory_budget_is_input_error(capsys, monkeypatch):
 
 def test_oversized_flat_solve_stops_before_allocating():
     # D5 at k=12 has 2704 paths: its half-ladder blocks take 0.6 GiB, but its
-    # reach stacks, Gram and constraint chunks would take 25807.1 GiB.  The
+    # reach stacks, Gram and constraint chunks would take 23795.4 GiB.  The
     # child runs under a 2 GiB address-space cap, so reaching any allocation
     # of that size would end in MemoryError (exit 1), not in exit 2.
     if stack_bytes(build_dynkin("D5"), 12) <= biunitary.nullspace.DENSE_BUDGET_BYTES:
@@ -329,9 +342,9 @@ def test_oversized_flat_solve_stops_before_allocating():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 25807.1 GiB "
+    assert proc.stderr.startswith("error: flat solve at k=12 on 2704 paths needs 23795.4 GiB "
                                   "for its reach stacks, constraints and Gram")
-    assert 25807.05 * 2**30 <= stack_bytes(build_dynkin("D5"), 12) < 25807.15 * 2**30
+    assert 23795.35 * 2**30 <= stack_bytes(build_dynkin("D5"), 12) < 23795.45 * 2**30
 
 
 @pytest.mark.parametrize("name,k,return_basis", [
@@ -350,6 +363,21 @@ def test_flat_preflight_bounds_the_traced_peak(systems, name, k, return_basis):
     finally:
         tracemalloc.stop()
     assert peak <= half_ladder_bytes(wn, k) + stack_bytes(wn, k, return_basis)
+
+
+@pytest.mark.parametrize("name,k", [("cyclic:5", 3), ("dynkin:D5", 6), ("trivial:3", 4),
+                                    ("dynkin:E6", 5), ("cyclic:4", 5)])
+def test_half_ladder_preflight_bounds_the_traced_sweep(systems, name, k):
+    # the sweep alone: its blocks, their headers and its column products
+    wn = systems(name).wn
+    eng, pathset = LadderEngine(_constraint_blocks(wn)), PathSet(wn.top, k)
+    tracemalloc.start()
+    try:
+        eng.half_ladder(pathset, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= half_ladder_bytes(wn, k)
 
 
 def test_flat_preflight_counts_the_basis(capsys, monkeypatch):
@@ -378,16 +406,16 @@ def test_flat_preflight_lists_no_path(capsys, command):
 
 
 def test_flat_transports_over_budget_stop_before_the_basis(capsys, monkeypatch):
-    # D5 at k=8: a few MiB of ladder blocks, 1.4 GiB of reach stacks and the rest
+    # D5 at k=8: a few MiB of ladder blocks, 1.3 GiB of reach stacks and the rest
     monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 1 << 30)
     monkeypatch.setattr(biunitary.strings, "StringBasis", None)
     code, out, err = run(capsys, "relcomm", "--builtin", "dynkin D5", "-k", "8")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: flat solve at k=8 on 232 paths needs 1.4 GiB "
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 1.3 GiB "
                           "for its reach stacks, constraints and Gram")
-    assert 1.35 * 2**30 <= stack_bytes(build_dynkin("D5"), 8) < 1.45 * 2**30
+    assert 1.25 * 2**30 <= stack_bytes(build_dynkin("D5"), 8) < 1.35 * 2**30
 
 
 def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
@@ -410,7 +438,7 @@ def test_exact_shortcut_checks_its_basis_only_when_asked(capsys, monkeypatch):
 
 
 def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
-    # D5 at k=8 needs 1.4 GiB of stacks: its solve runs before any other
+    # D5 at k=8 needs 1.3 GiB of stacks: its solve runs before any other
     monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 1 << 30)
     solved = []
     solve = biunitary.cli.flat_fields
@@ -424,7 +452,7 @@ def test_verify_theorem_solves_the_largest_k_first(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: flat solve at k=8 on 232 paths needs 1.4 GiB")
+    assert err.startswith("error: flat solve at k=8 on 232 paths needs 1.3 GiB")
     assert solved == [8]
 
 
@@ -438,11 +466,11 @@ MATRIX_REPORT_CHECKS = {
 
 @pytest.mark.parametrize("command,flag", [("relcomm", "--basis"), ("pmpo", "--dump")])
 def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, command, flag):
-    # trivial 3 at k=2: an 81 x 81 matrix
+    # trivial 2 at k=3: a 64 x 64 matrix, whose half ladder takes less than its entries
     entry_bytes, purpose = MATRIX_REPORT_CHECKS[command]
-    need = entry_bytes * 81 ** 2
+    need = entry_bytes * 64 ** 2
     monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need - 1)
-    argv = (command, "--builtin", "trivial 3", "-k", "2", flag, "--format", "json")
+    argv = (command, "--builtin", "trivial 2", "-k", "3", flag, "--format", "json")
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -452,7 +480,7 @@ def test_formatted_matrices_count_against_the_budget(capsys, monkeypatch, comman
     monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need)
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["dim"] == 81
+    assert json.loads(out)["dim"] == 64
 
 
 def test_oversized_builtin_is_refused_before_its_cells(capsys, monkeypatch):
@@ -500,10 +528,10 @@ def test_oversized_corner_block_is_refused_before_it_is_formed():
 
 
 def test_a_refused_report_writes_no_file(tmp_path, capsys, monkeypatch):
-    need = biunitary.cli.FORMATTED_ENTRY_BYTES * 81 ** 2
+    need = biunitary.cli.FORMATTED_ENTRY_BYTES * 64 ** 2
     monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", need - 1)
     path = tmp_path / "F"
-    argv = ("relcomm", "--builtin", "trivial 3", "-k", "2", "--basis", "--out", str(path))
+    argv = ("relcomm", "--builtin", "trivial 2", "-k", "3", "--basis", "--out", str(path))
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 2
     assert out == ""
@@ -512,4 +540,4 @@ def test_a_refused_report_writes_no_file(tmp_path, capsys, monkeypatch):
     # the table report prints no basis, so it formats none
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert "string space dimension 81" in path.read_text()
+    assert "string space dimension 64" in path.read_text()

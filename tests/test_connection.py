@@ -13,7 +13,6 @@ from biunitary import (
     Cell,
     Connection,
     ConnectionError,
-    OrientedCellQuery,
     build_cyclic_group,
     build_dynkin,
     build_identity,
@@ -21,14 +20,14 @@ from biunitary import (
     check_biunitarity,
     check_unitarity,
     connection_to_document,
-    extended_value,
     hom_space,
-    horizontal_product,
     renormalize,
     validate_square,
     vertical_product,
 )
 from biunitary.cli import _build_builtin
+
+from connection_oracles import OrientedCellQuery, extended_value, horizontal_product
 
 EPS_A3 = 1j * cmath.exp(1j * math.pi / 8)
 

@@ -11,7 +11,7 @@ from biunitary import (LadderEngine, PathSet, StringBasis, mpo_O, mpo_O_tilde, p
 from biunitary.ladders import grid_counts, paired_string_operator
 from biunitary.strings import _constraint_blocks
 
-from conftest import ALL_BUILDERS
+from conftest import ALL_BUILDERS, make_builder
 from dense_ladder import dense_half_ladder, dense_slice, path_ends
 from transport_oracle import paired_vertex_operator, pinned_pairs
 
@@ -194,3 +194,30 @@ class TestTotalDefect:
         want_total, want_scale = dense_total_defect_sq(dense, wt, basis)
         assert abs(scale - want_scale) <= 1e-12 * max(1.0, want_scale)
         assert abs(total - want_total) <= 1e-12 * max(1.0, want_scale)
+
+
+class TestAdjointPairing:
+    """``(T_{z1 z2} f)^* = T_{z2 z1}(f^*)``: the flat solve's real coordinates rest on it."""
+
+    @pytest.mark.parametrize("name,k", [(name, k) for name in ALL_BUILDERS + ["dynkin:E7",
+                                                                              "dynkin:D7"]
+                                        for k in (1, 2, 3)])
+    def test_pinned_transport_commutes_with_the_adjoint(self, name, k):
+        wt = _constraint_blocks(make_builder(name))
+        basis = StringBasis(wt.top, k)
+        lad = LadderEngine(wt).half_ladder(basis.pathset, k)
+        rng = np.random.default_rng(k)
+        shapes = {key: (2, *grid.shape) for key, grid in basis.grids.items()}
+        f = {key: rng.standard_normal(sh) + 1j * rng.standard_normal(sh)
+             for key, sh in shapes.items()}
+        f_star = {key: a.conj().transpose(0, 2, 1) for key, a in f.items()}
+        for x, y in sorted({(s, r) for _, s, r in wt.left.edges}):
+            for z1 in wt.left.edges_between(x, y):
+                for z2 in wt.left.edges_between(x, y):
+                    for row in (key for key in basis.grids if key[0] == y):
+                        t = lad.add_pinned_transport(z1, z2, f, row, slice(None),
+                                                     np.zeros(shapes[row], dtype=complex))
+                        t_star = lad.add_pinned_transport(z2, z1, f_star, row, slice(None),
+                                                          np.zeros(shapes[row], dtype=complex))
+                        err = np.max(np.abs(t.conj().transpose(0, 2, 1) - t_star))
+                        assert err <= 1e-13 * max(1.0, float(np.max(np.abs(t))))

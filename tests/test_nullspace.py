@@ -70,12 +70,12 @@ class TestGramNullSpace:
 
 
 def stacks_with_norm(n, rank, norm2, parts=3, seed=0):
-    """``parts`` random (n, 5) stacks of common rank ``rank`` whose squared
-    Frobenius norms sum to ``norm2``, and the Gram of all of them."""
+    """``parts`` random real (n, 5) stacks of common rank ``rank`` whose
+    squared Frobenius norms sum to ``norm2``, and the Gram of all of them:
+    the unknowns of ``stacked_null_space`` are real."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    stacks = [a @ (rng.standard_normal((rank, 5)) + 1j * rng.standard_normal((rank, 5)))
-              for _ in range(parts)]
+    a = rng.standard_normal((n, rank))
+    stacks = [a @ rng.standard_normal((rank, 5)) for _ in range(parts)]
     scale = np.sqrt(norm2 / sum(float(np.vdot(c, c).real) for c in stacks))
     stacks = [scale * c for c in stacks]
     return stacks, sum(np.conj(c) @ c.T for c in stacks)
@@ -127,6 +127,20 @@ class TestStackedNullSpace:
         assert abs(got_smax - smax) < 1e-12 * smax
         for c in stacks:
             assert np.max(np.abs(c.T @ evecs[:, null]), initial=0.0) < 1e-9
+
+    def test_complex_stacks_are_their_real_and_imaginary_equations(self):
+        # on real unknowns a complex stack holds two real equations per entry
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        c = a @ (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+        want, want_vecs, want_smax = stacked_null_space(6, [np.hstack([c.real, c.imag])], True)
+        null, evecs, smax = stacked_null_space(6, [c], True)
+        assert evecs.dtype == np.float64
+        assert np.array_equal(null, want) and np.count_nonzero(null) == 2
+        assert abs(smax - want_smax) < 1e-12 * smax
+        assert np.max(np.abs(c.T @ evecs[:, null])) < 1e-12 * smax
+        assert np.max(np.abs(want_vecs[:, null] @ want_vecs[:, null].T
+                             - evecs[:, null] @ evecs[:, null].T)) < 1e-12
 
     def test_gap_failure_raises_through_the_stack(self):
         c = np.diag([10 * GRAM_EPS, 1.0]).astype(complex)

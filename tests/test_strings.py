@@ -22,7 +22,7 @@ from conftest import ALL_BUILDERS
 from loop_oracles import string_index
 from path_oracles import count_loops
 from string_oracles import trace_at
-from transport_oracle import stacks_of, transport_T
+from transport_oracle import complex_flat_gram, stacks_of, transport_T
 
 
 def edges_by_pair(conn):
@@ -328,6 +328,36 @@ class TestFrobeniusSkip:
         for k in (3, 4):
             assert flat_fields(wn, k, return_basis=False).dimension < root_block(wn, k)
         assert gram_calls == [root_block(wn, 3), root_block(wn, 4)]
+
+
+class TestRealGram:
+    """The real Gram in Hermitian coordinates, one constraint per adjoint pair,
+    against the complex Gram on unit strings over every anchor pair."""
+
+    @pytest.mark.parametrize("name,k", [("dynkin:D5", 5), ("dynkin:E7", 4), ("dynkin:E6", 4),
+                                        ("cyclic:4", 3)])
+    def test_same_spectrum_as_the_complex_gram(self, systems, monkeypatch, name, k):
+        wn = systems(name).wn
+        grams, solve = [], biunitary.nullspace.gram_null_space
+
+        def kept(gram, *args):
+            grams.append(gram)
+            return solve(gram, *args)
+
+        monkeypatch.setattr(biunitary.nullspace, "gram_null_space", kept)
+        monkeypatch.setattr(biunitary.nullspace, "FROBENIUS_SKIP_SQ", -1.0)    # no stack left out
+        dim = flat_fields(wn, k, return_basis=False).dimension
+        (gram,) = grams
+        assert gram.dtype == np.float64
+        got = np.linalg.eigvalsh(gram)
+        want = np.linalg.eigvalsh(complex_flat_gram(wn, k))
+        scale = max(1.0, float(want[-1]))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        # the same cut: the largest dropped and the smallest kept eigenvalue
+        assert dim == np.count_nonzero(solve(np.diag(want), False, RuntimeError, "oracle")[0])
+        assert abs(got[dim - 1] - want[dim - 1]) <= 1e-12 * scale
+        if dim < len(want):
+            assert abs(got[dim] - want[dim]) <= 1e-12 * want[dim]
 
 
 def vertical_graph(edges):

@@ -4,13 +4,17 @@ The flat solve once formed every pinned transport ``T_{z1 z2}`` as a dense
 ``dim B_k(y) x dim B_k(x)`` matrix by pairing two anchors' bonds of the half
 ladder.  The library now applies the transports to per-grid stacks of fields
 (``Ladder.add_pinned_transport``); these are the dense forms, for comparison.
+The library's flat solve then took the unit strings of its root block as
+unknowns and summed a complex Gram over every ordered anchor pair;
+``complex_flat_gram`` keeps that form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from biunitary import ConnectionError
+from biunitary import ConnectionError, LadderEngine, StringBasis
+from biunitary.strings import _constraint_blocks, _reach_tree
 
 
 def pinned_pairs(ladder, zeta1: str, zeta2: str):
@@ -61,3 +65,39 @@ def stacks_of(basis, x: str, fields: np.ndarray) -> dict:
     start = basis.block_slices[x].start
     return {key: fields[:, grid.ravel() - start].reshape(len(fields), *grid.shape)
             for key, grid in basis.grids.items() if key[0] == x}
+
+
+def complex_flat_gram(w_conn, k: int) -> np.ndarray:
+    """The flat solve's Gram on the unit strings of its root block, summed as
+    ``conj(c) c^T`` over every ordered anchor pair (z1, z2) and whole row
+    grids, none left out; a tree edge's own pair, exactly zero, is skipped."""
+    basis = StringBasis(w_conn.top, k)
+    lad = LadderEngine(_constraint_blocks(w_conn)).half_ladder(basis.pathset, k)
+    rows: dict[str, list] = {}
+    for key in basis.grids:
+        rows.setdefault(key[0], []).append(key)
+    dims = {x: sum(basis.grids[key].size for key in keys) for x, keys in rows.items()}
+    root = min(dims, key=lambda x: (dims[x], x))
+    n0 = dims[root]
+    reach = stacks_of(basis, root, np.eye(n0, dtype=complex))
+    tree = _reach_tree(lad.anchors, root, basis.base_vertices)
+    for _, y, zeta in tree:
+        for row in rows[y]:
+            q = len(basis.grids[row])
+            reach[row] = lad.add_pinned_transport(zeta, zeta, reach, row, slice(None),
+                                                  np.zeros((n0, q, q), dtype=complex))
+    tree_edges = {zeta for _, _, zeta in tree}
+    gram = np.zeros((n0, n0), dtype=complex)
+    for x, y in sorted({(s, r) for _, s, r in lad.anchors.edges}):
+        edges = lad.anchors.edges_between(x, y)
+        for z1 in edges:
+            for z2 in edges:
+                if z1 == z2 and z1 in tree_edges:
+                    continue
+                for row in rows[y]:
+                    r = reach[row]
+                    c = lad.add_pinned_transport(z1, z2, reach, row, slice(None),
+                                                 -r if z1 == z2 else np.zeros_like(r))
+                    c = c.reshape(n0, -1)
+                    gram += np.conj(c) @ c.T
+    return gram
