@@ -565,7 +565,12 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
     certified integer solve of the identities on both vertical graphs, filled
     by duality where they leave labels free, and exactly associative (see
     :func:`_fusion_tables`); the conjugate of ``a`` is the one ``b`` with ``N_ab^1 == 1``.
+    A disconnected top graph is refused with :class:`ConnectionError` before
+    any hom solve: the unit connection over it is reducible.
     """
+    if not w_conn.top.is_connected():
+        raise ConnectionError(f"top graph {w_conn.top.name!r} is not connected: "
+                              "its unit connection is reducible")
     birep = check_biunitarity(w_conn, max(tol, BIUNITARITY_FLOOR))
     if not birep.passed:
         raise ConnectionError(f"input connection is not bi-unitary (residual {birep.max_residual:.3e})")

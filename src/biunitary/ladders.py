@@ -123,13 +123,13 @@ class Ladder:
                 out[a:a + m] += (t @ lt).reshape(m, c, q).transpose(0, 2, 1)
         return out
 
-    def pinned_defect(self, counts: dict[tuple[str, str], int]) -> tuple[float, float]:
-        """Squared Frobenius norms of the pinned transports minus delta times
-        the identity, and of the transports alone, summed over anchor pairs
-        with equal endpoints on the unrestricted path-pair space, given the
-        grid sizes of the length-k paths.  Bond Grams are block diagonal over
-        the bond endpoints, so both sums run per block; on delta-valued
-        connections the entries are small integers, so they are exact."""
+    def pinned_defect(self, counts: dict[tuple[str, str], int]) -> float:
+        """Squared Frobenius norm of the pinned transports minus delta times
+        the identity, summed over anchor pairs with equal endpoints on the
+        unrestricted path-pair space, given the grid sizes of the length-k
+        paths.  Bond Grams are block diagonal over the bond endpoints, so the
+        sum runs per block; on delta-valued connections the entries are small
+        integers, so it is exact."""
         scale = trace = 0.0
         for (top, bottom), blk in self.blocks.items():
             f = blk.reshape(*blk.shape[:2], -1)
@@ -140,7 +140,7 @@ class Ladder:
                 trace += float(np.vdot(tr, tr).real)
         # against the identity on the paths from the anchor's range y
         n_y = [sum(n for (x, _), n in counts.items() if x == y) for _, _, y in self.anchors.edges]
-        return scale + (float(sum(n * n for n in n_y)) - 2.0 * trace), scale
+        return scale + (float(sum(n * n for n in n_y)) - 2.0 * trace)
 
 
 class LadderEngine:

@@ -132,8 +132,6 @@ def operator_rank(op) -> int:
     exact, not approximations.
     """
     a = op.matrix if isinstance(op, MPOOperator) else np.asarray(op)
-    if a.size == 0:
-        return 0
     d = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(d):
         sigma = np.abs(d)

@@ -24,7 +24,8 @@ HERMITIAN_EPS = 1e-13
 GRAM_EPS = 1e-6
 # The stacked null space leaves out of its Gram terms whose squared Frobenius
 # norms sum to at most this, which lowers each eigenvalue by at most a quarter
-# of the smallest squared cut; when all are left out, every value is null.
+# of the smallest squared cut; when all are left out, every value is null.  The
+# flat solve's one-vertex shortcut compares a bound of that sum with it.
 FROBENIUS_SKIP_SQ = (GRAM_EPS / 2) ** 2
 # Every kept singular value must exceed the cut by this factor.
 GAP_FACTOR = 50
@@ -52,9 +53,6 @@ MINIMALITY_RANK_EPS = 1e-8
 # Discovery and compression check bi-unitarity at max(tol, this floor).
 BIUNITARITY_FLOOR = 1e-8
 
-# The flat solve skips its system when the pinned defect of the half ladder
-# is at most this, relative to max(1, its scale): every string is flat.
-EXACT_ZERO_EPS = 1e-20
 # The squared layer-0 weights of a trace must sum to w within this, relative
 # to max(1, w).
 WEIGHT_SUM_EPS = 1e-8

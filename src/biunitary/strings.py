@@ -21,7 +21,7 @@ from .bases import Field, StringBasis, path_vertices
 from .connection import Connection, ConnectionError, renormalize, vertical_product
 from .graphs import spanning_tree
 from .ladders import LadderEngine, PathSet, grid_counts
-from .nullspace import (EXACT_ZERO_EPS, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budget,
+from .nullspace import (FROBENIUS_SKIP_SQ, ST2_RANK_EPS, WEIGHT_SUM_EPS, check_budget,
                         stacked_null_space)
 
 # Flat-solve transport chunks hold max(n0^2, this) entries, 1 MiB: n0^2 alone makes
@@ -89,7 +89,7 @@ class FlatFieldResult:
     dimension: int
     basis: StringBasis
     vectors: np.ndarray | None          # (dim B_k, dimension), st-2 orthonormal
-    exact: bool                         # all constraints vanished identically
+    exact: bool     # one base vertex within the Frobenius skip: all flat, unit-string basis
 
     def fields(self) -> list[Field]:
         if self.vectors is None:
@@ -132,7 +132,7 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     ``C^* C`` with ``C = T_{z1 z2} R_x - delta R_y`` over all edge pairs,
     ``R_x`` being the transport product from ``*`` to ``x``.  The vertical
     graph must therefore reach every base vertex from ``*``; otherwise
-    ConnectionError is raised.
+    ConnectionError is raised before any array is formed.
 
     The system commutes with the string adjoint, ``(T_{z1 z2} f)^* =
     T_{z2 z1}(f^*)``, so its complex null space is spanned by Hermitian
@@ -151,15 +151,26 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
 
     Returns the dimension and, on request, an st-2 orthonormal basis of
     flat fields, rebuilt in one complex array as ``R_x v`` from the real
-    null vectors v while the reach stacks are dropped.  When every
-    constraint vanishes identically the whole string space is flat and no
-    system is formed.  ValueError is raised before the half ladder, the
-    stacks and basis or the shortcut's basis would exceed
-    ``DENSE_BUDGET_BYTES``.
+    null vectors v while the reach stacks are dropped.  On one base vertex
+    every anchor is a loop and the tree is empty, so the half ladder's
+    pinned defect bounds ``Σ ‖C‖²`` (it also counts the path pairs with
+    different ends); when it is at most ``FROBENIUS_SKIP_SQ``,
+    ``stacked_null_space`` would leave every stack out, so no system is
+    formed and the basis is the unit strings.  With several base vertices a
+    non-loop anchor adds ``n_y² >= 1`` to it, and it is not computed.
+    ValueError is raised before the half ladder, the stacks and basis or
+    the shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
     """
     eng, g = LadderEngine(_constraint_blocks(w_conn)), w_conn.top
     counts = grid_counts(g, k)
     what = f"flat solve at k={k} on {sum(counts.values())} paths"
+    rows: dict[str, list] = {}      # the grids (x, u) per base vertex x
+    for key in counts:
+        rows.setdefault(key[0], []).append(key)
+    dims = {x: sum(counts[key] ** 2 for key in keys) for x, keys in rows.items()}
+    root = min(dims, key=lambda x: (dims[x], x))
+    n0 = dims[root]
+    tree = _reach_tree(eng.conn.left, root, rows)
     # the sweep holds two consecutive states, the last two the largest, and the copies of
     # its largest column product over the last two steps
     last = grid_counts(g, k - 1)
@@ -172,30 +183,22 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     pathset = PathSet(g, k)
     lad = eng.half_ladder(pathset, k)
     del eng     # its cell blocks and product connection are not needed past the half ladder
-    total, scale = lad.pinned_defect(counts)
-    if total <= EXACT_ZERO_EPS * max(1.0, scale):
-        basis = StringBasis(w_conn.top, k, pathset)
-        vecs = None
-        if return_basis:
-            check_budget(16 * basis.dim ** 2, what, "its basis")
-            vecs = np.zeros((basis.dim, basis.dim), dtype=complex)
-            np.fill_diagonal(vecs, 1.0 / np.sqrt(_st2_gram(basis, w_conn, k)))
-        return FlatFieldResult(dimension=basis.dim, basis=basis, vectors=vecs, exact=True)
-
-    rows: dict[str, list] = {}      # the grids (x, u) per base vertex x
-    for key in counts:
-        rows.setdefault(key[0], []).append(key)
-    dims = {x: sum(counts[key] ** 2 for key in keys) for x, keys in rows.items()}
-    root = min(dims, key=lambda x: (dims[x], x))
-    n0 = dims[root]
+    exact = len(dims) == 1 and lad.pinned_defect(counts) <= FROBENIUS_SKIP_SQ
     # the reach stacks (and as large a basis), the real Gram twice, a constraint's column chunk
     # (at most a row grid, at least a column) and three Kraus temporaries, each that or a product
     chunk, q = max(n0 * n0, CHUNK_FLOOR_ENTRIES), max(counts.values())
     most = max(min(chunk, n0 * q * q), n0 * q, max(blk[0].size for blk in lad.blocks.values()))
     books = BOOK_BYTES * (sum(dims.values()) + sum(map(len, pathset.paths)) + 4 * len(counts) ** 2)
-    check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + n0) + 4 * most) + books,
-                 what, f"its reach stacks, {'basis, ' * return_basis}constraints and Gram")
-    basis = StringBasis(w_conn.top, k, pathset)
+    if exact:   # no system: the unit-string basis alone, when asked for
+        check_budget(16 * n0 * n0 * return_basis, what, "its basis")
+    else:
+        check_budget(16 * (n0 * ((1 + return_basis) * sum(dims.values()) + n0) + 4 * most) + books,
+                     what, f"its reach stacks, {'basis, ' * return_basis}constraints and Gram")
+    basis = StringBasis(g, k, pathset)
+    if exact:
+        vecs = (np.diag((1.0 / np.sqrt(_st2_gram(basis, w_conn, k))).astype(complex))
+                if return_basis else None)
+        return FlatFieldResult(dimension=n0, basis=basis, vectors=vecs, exact=True)
 
     def chunks(row):    # column ranges of ``row`` holding at most a chunk, or one column
         width = max(1, chunk // (n0 * counts[row]))
@@ -203,7 +206,6 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     # per grid (x, u): the stack (n0, P, P) of R_x on it
     start = basis.block_slices[root].start
     reach = {key: _hermitian_stack(n0, basis.grids[key] - start) for key in rows[root]}
-    tree = _reach_tree(lad.anchors, root, basis.base_vertices)
     for _, y, zeta in tree:
         for row in rows[y]:
             reach[row] = np.zeros((n0, counts[row], counts[row]), dtype=complex)
@@ -282,7 +284,7 @@ def _st2_gram(basis: StringBasis, w_conn: Connection, k: int) -> np.ndarray:
 
 
 def jones_projection(g, mu: dict[str, float], gamma1: float, i: int, k: int,
-                     basis: StringBasis | None = None) -> Field:
+                     basis: StringBasis) -> Field:
     """The i-th Temperley-Lieb idempotent in the length-k string space.
 
     Supported on pairs of paths that agree except for an out-and-back move
@@ -290,8 +292,6 @@ def jones_projection(g, mu: dict[str, float], gamma1: float, i: int, k: int,
     weights over the pivot weight and by 1 / gamma1.  Certified downstream
     by the defining relations rather than by any particular convention.
     """
-    if basis is None:
-        basis = StringBasis(g, k)
     if not 1 <= i <= k - 1:
         raise ValueError(f"position must satisfy 1 <= i <= k-1, got {i} for k={k}")
     paths = basis.pathset.paths[k]
@@ -310,7 +310,7 @@ def jones_projection(g, mu: dict[str, float], gamma1: float, i: int, k: int,
 
 
 def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: int,
-                         basis: StringBasis | None = None) -> int:
+                         basis: StringBasis) -> int:
     """Dimension of the unital algebra generated by the Temperley-Lieb idempotents.
 
     Grows an st-2 orthonormal list from the identity.  Each queued element is
@@ -319,8 +319,6 @@ def jones_span_dimension(g, mu: dict[str, float], gamma1: float, w: float, k: in
     its right products with every ``e_i``, so the list spans the algebra
     once the queue runs dry.
     """
-    if basis is None:
-        basis = StringBasis(g, k)
     tr = TraceData(basis, mu, gamma1, w)
     gens = [jones_projection(g, mu, gamma1, i, k, basis) for i in range(1, k)]
     ortho = np.empty((0, basis.dim), dtype=complex)     # st-2 orthonormal rows

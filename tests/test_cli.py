@@ -9,9 +9,11 @@ import tracemalloc
 import pytest
 
 import biunitary.cli
+import biunitary.decomp
 import biunitary.nullspace
 import biunitary.strings
-from biunitary import LadderEngine, PathSet, build_dynkin, connection_to_document
+from biunitary import (LadderEngine, PathSet, build_dynkin, connection_from_document,
+                       connection_to_document)
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
 from biunitary.ladders import grid_counts
@@ -193,6 +195,66 @@ def test_depth_cap_is_numeric_failure(capsys):
                        "--max-depth", "1")
     assert code == 1
     assert "max_depth" in err or "depth" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["stats", "--builtin", "dynkin A3", "-n", "0"], "n must be >= 1"),
+    (["decompose", "--builtin", "dynkin A3", "--max-depth", "0"], "max depth must be >= 1"),
+    (["check", "--builtin", "dynkin"], "usage: dynkin <A3|D4|E6|...>"),
+    (["check", "--builtin", "trivial"], "usage: trivial <d>"),
+    (["check", "--builtin", "  "], "empty builtin request"),
+    (["check"], "no input: give a connection file or --builtin"),
+])
+def test_usage_errors_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_builtin_writes_its_document_to_stdout(capsys):
+    code, out, err = run(capsys, "builtin", "dynkin", "A3")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert doc == connection_to_document(build_dynkin("A3"))
+    assert connection_to_document(connection_from_document(doc)) == doc
+
+
+def direct_sum(conn):
+    """The document of ``conn`` beside a copy of itself, every id of the copy
+    suffixed with ``b``: a bi-unitary connection on a disconnected square."""
+    doc = connection_to_document(conn)
+    doc["layers"] += [{"id": r["id"] + "b", "layer": r["layer"]} for r in doc["layers"]]
+    doc["mu"] |= {v + "b": m for v, m in doc["mu"].items()}
+    for g in doc["graphs"].values():
+        g["edges"] += [{key: e[key] + "b" for key in ("id", "src", "dst")} for e in g["edges"]]
+    sides = ("left", "top", "right", "bottom")
+    doc["values"] += [rec | {side: rec[side] + "b" for side in sides} for rec in doc["values"]]
+    return doc
+
+
+@pytest.mark.parametrize("name,unreached", [("trivial 2", "0:xb from base vertex 0:x"),
+                                            ("dynkin D5", "0:1b, 0:3b from base vertex 0:1")])
+def test_a_disconnected_top_graph_is_input_error(tmp_path, capsys, monkeypatch, name, unreached):
+    kind, arg = name.split()
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(direct_sum(biunitary.cli._build_builtin([kind, arg]))))
+    assert run(capsys, "check", str(path))[0] == 0
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the input must be refused first")
+
+    # discovery refuses before any hom solve, the flat solve before its half ladder
+    monkeypatch.setattr(biunitary.decomp, "hom_space", refused)
+    monkeypatch.setattr(LadderEngine, "half_ladder", refused)
+    for argv in (["decompose"], ["verify-theorem", "-k", "2"], ["pmpo", "-k", "2"], ["stats"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines() == ["error: top graph 'G' is not connected: "
+                                    "its unit connection is reducible"]
+    code, out, err = run(capsys, "relcomm", str(path), "-k", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: vertical graph does not reach {unreached}"]
 
 
 def test_pmpo_dump_includes_legend(capsys):

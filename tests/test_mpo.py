@@ -15,6 +15,7 @@ from biunitary import (
     projector_trace,
 )
 from biunitary.mpo import _is_hermitian
+from biunitary.nullspace import PMPO_IDEMPOTENCY_EPS
 
 from conftest import ALL_BUILDERS
 from dense_ladder import dense_half_ladder, path_ends
@@ -127,6 +128,8 @@ class TestOperatorRank:
     def test_identity_and_zero(self):
         assert operator_rank(np.eye(7)) == 7
         assert operator_rank(np.zeros((5, 5))) == 0
+        for shape in ((0, 0), (0, 3), (3, 0)):
+            assert operator_rank(np.zeros(shape)) == 0
 
     def test_threshold(self):
         m = np.diag([1.0, 1e-3, 1e-12])
@@ -160,6 +163,15 @@ class TestOperatorRank:
         assert not _is_hermitian(p)
         dense = float(np.max(np.abs(p @ p - p)))
         assert MPOOperator(p).idempotency_defect() == pytest.approx(dense, rel=1e-12)
+
+    def test_probes_above_dimension_3000(self):
+        # one past the dense check: 16 random probes of a rank-5 projector
+        rng = np.random.default_rng(13)
+        q, _ = np.linalg.qr(rng.standard_normal((3001, 5)))
+        p = q @ q.T
+        assert MPOOperator(p).idempotency_defect() < 1e-12
+        p[-1, 0] += 1e-3
+        assert MPOOperator(p).idempotency_defect() > PMPO_IDEMPOTENCY_EPS
 
 
 class TestShift:

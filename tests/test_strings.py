@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import biunitary.ladders
 import biunitary.nullspace
 import biunitary.strings
 from biunitary import (
@@ -18,7 +19,7 @@ from biunitary.ladders import grid_counts
 from biunitary.graphs import LayeredGraph
 from biunitary.strings import _constraint_blocks, _reach_tree, _st2_gram
 
-from conftest import ALL_BUILDERS
+from conftest import ALL_BUILDERS, make_builder
 from loop_oracles import string_index
 from path_oracles import count_loops
 from string_oracles import trace_at
@@ -36,14 +37,15 @@ def dense_flat_fields(w_conn, k):
     """Full-space oracle for ``flat_fields``: every constraint on all of B_k.
 
     Assembles the dense Gram matrix of the whole flatness system and returns
-    the flat dimension with an st-2 orthonormal basis (None when the exact
-    shortcut applies, which both solvers run first).
+    the flat dimension with an st-2 orthonormal basis (None when the shortcut
+    applies, which both solvers run first: one base vertex, and a pinned
+    defect within the Frobenius skip (1e-6 / 2)^2).
     """
     wt = vertical_product(w_conn, renormalize(w_conn, "bar"))
     basis = StringBasis(w_conn.top, k)
     lad = LadderEngine(wt).half_ladder(basis.pathset, k)
-    total, scale = lad.pinned_defect(grid_counts(w_conn.top, k))
-    if total <= 1e-20 * max(1.0, scale):
+    if (len(basis.base_vertices) == 1
+            and lad.pinned_defect(grid_counts(w_conn.top, k)) <= (1e-6 / 2) ** 2):
         return basis.dim, None
     n = basis.dim
     gram = np.zeros((n, n), dtype=complex)
@@ -328,6 +330,74 @@ class TestFrobeniusSkip:
         for k in (3, 4):
             assert flat_fields(wn, k, return_basis=False).dimension < root_block(wn, k)
         assert gram_calls == [root_block(wn, 3), root_block(wn, 4)]
+
+
+def without_skip(patch):
+    """No stack left out: the skip at -1 where the flat solve and the stacked
+    null space read it."""
+    patch.setattr(biunitary.strings, "FROBENIUS_SKIP_SQ", -1.0)
+    patch.setattr(biunitary.nullspace, "FROBENIUS_SKIP_SQ", -1.0)
+
+
+class TestOneVertexShortcut:
+    """The shortcut is the Frobenius skip read off the half ladder, tried on
+    one base vertex only."""
+
+    @pytest.mark.parametrize("name,k", [("trivial:2", k) for k in (1, 2, 3)]
+                             + [("trivial:3", k) for k in (1, 2)])
+    def test_stacked_route_agrees_with_the_shortcut(self, systems, monkeypatch, name, k):
+        wn = systems(name).wn
+        short = flat_fields(wn, k)
+        assert short.exact
+        with monkeypatch.context() as m:
+            without_skip(m)
+            stacked = flat_fields(wn, k)
+        assert not stacked.exact
+        assert stacked.dimension == short.dimension == short.basis.dim
+        g = _st2_gram(short.basis, wn, k)
+        assert np.max(np.abs(st2_projector(stacked.vectors, g)
+                             - st2_projector(short.vectors, g))) < 1e-12
+
+    @pytest.mark.parametrize("name,kind", [("trivial:2", None), ("trivial:3", None),
+                                           ("dynkin:A3", "prime"), ("dynkin:D4", "bar")])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pinned_defect_bounds_the_stacks(self, monkeypatch, name, kind, k):
+        # one base vertex: the defect is sum |C|^2 plus, per anchor, the n^2 - dim B_k
+        # path pairs with different ends, on which the transports vanish
+        conn = make_builder(name) if kind is None else renormalize(make_builder(name), kind)
+        counts = grid_counts(conn.top, k)
+        assert len({x for x, _ in counts}) == 1
+        seen, solve = [], biunitary.strings.stacked_null_space
+
+        def summed(n, stacks, vectors):
+            stacks = list(stacks)
+            seen.append(sum(float(np.vdot(c, c).real) for c in stacks))
+            return solve(n, stacks, vectors)
+
+        monkeypatch.setattr(biunitary.strings, "stacked_null_space", summed)
+        without_skip(monkeypatch)
+        flat_fields(conn, k, return_basis=False)
+        wt = _constraint_blocks(conn)
+        lad = LadderEngine(wt).half_ladder(StringBasis(conn.top, k).pathset, k)
+        defect = lad.pinned_defect(counts)
+        ends = sum(counts.values()) ** 2 - sum(n * n for n in counts.values())
+        assert ends == 0 or k % 2 == 1
+        (norm2,) = seen
+        assert abs(defect - len(wt.left.edges) * ends - norm2) <= 1e-12 * max(1.0, defect)
+
+    def test_only_one_vertex_solves_read_the_defect(self, systems, monkeypatch):
+        calls = []
+        defect = biunitary.ladders.Ladder.pinned_defect
+
+        def counted(lad, counts):
+            calls.append(len({x for x, _ in counts}))
+            return defect(lad, counts)
+
+        monkeypatch.setattr(biunitary.ladders.Ladder, "pinned_defect", counted)
+        for name in ("trivial:3", "dynkin:D5", "cyclic:5", "dynkin:E6"):
+            for k in (1, 2, 3):
+                flat_fields(systems(name).wn, k, return_basis=False)
+        assert calls == [1, 1, 1]
 
 
 class TestRealGram:

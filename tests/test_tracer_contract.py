@@ -1,10 +1,11 @@
 """The library values the benchmark's traced pass reads.
 
 ``perfbench/tracer.py`` wraps library functions by name and notes
-``bool(hom_space(...))``, ``flat_fields(...).exact`` and ``.basis.dim``, and
-``half_ladder(...).nbytes``.  This runs the command line under its
-:class:`Tracer` on the three benchmark commands and checks that every run
-succeeds and that those layers were seen.
+``bool(hom_space(...))``, ``flat_fields(...).exact`` and ``.basis.dim``,
+``half_ladder(...).nbytes`` and ``pmpo_P(...).matrix``.  This runs the command
+line under its :class:`Tracer` on the three benchmark commands and on ``pmpo``,
+the dense route, and checks that every run succeeds and that those layers were
+seen.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ COMMANDS = [
     ["decompose"],
     ["verify-theorem", "-k", "2"],
     ["relcomm", "-k", "2", "--basis", "--format", "json"],
+    ["pmpo", "-k", "2"],
 ]
 
 
@@ -37,3 +39,6 @@ def test_traced_commands_run_and_report_their_layers(capsys):
     assert m["ladders.ladder_bytes"] > 0
     assert m["strings.flat_fields_calls"] > 0
     assert m["bases.dim_B_sum"] > 0
+    assert m["mpo.dense_bytes_max"] > 0
+    for point in ("biunitary.cli.pmpo_P", "biunitary.mpo.MPOOperator.idempotency_defect"):
+        assert point not in tracer.missing
