@@ -143,47 +143,67 @@ class _HomProblem:
         return worst
 
 
-def _gram_block(gram: np.ndarray, prob: _HomProblem, k1: tuple, k2: tuple) -> np.ndarray:
-    """The (k1, k2) block of the hom Gram as a writable ``(d1, s1, d2, s2)`` view."""
-    (d1, s1), (d2, s2) = prob.shapes[k1], prob.shapes[k2]
-    o1, o2 = prob.offsets[k1], prob.offsets[k2]
-    return gram[o1:o1 + d1 * s1, o2:o2 + d2 * s2].reshape(d1, s1, d2, s2)
+def _factor_rows(prob: _HomProblem, factors: dict, keys: list, rows: np.ndarray) -> None:
+    """Multiply in place the rows of each of one side's keys, from ``keys[0]`` on, by its
+    factor, on the dst index of an L block and the src index of an R block."""
+    for k in keys:
+        (d, s), o = prob.shapes[k], prob.offsets[k] - prob.offsets[keys[0]]
+        x = rows[o:o + d * s]
+        x[...] = (factors[k] @ x.reshape((d, -1) if k[0] == "L" else (d, s, -1))).reshape(x.shape)
 
 
 def _hom_kernel(prob: _HomProblem) -> np.ndarray:
-    """The ``(m, n_var)`` stack of an orthonormal basis of the hom space:
-    the kernel of the Gram operator of the constraints in ``prob.pairs``.
-    The basis is orthonormal in the entrywise inner product and its order is
-    fixed by the eigensolver, so results are reproducible.
-    """
+    """The ``(m, n_var)`` stack of an orthonormal basis (entrywise, by a QR) of the
+    hom space: the kernel of the Gram ``[[D_L, X], [X^H, D_R]]`` of the constraints
+    in ``prob.pairs``, which is never formed.  ``D_L`` and ``D_R`` hold the per-key
+    squares ``A^H A (x) I`` and ``I (x) conj(B) B^T``, positive definite (a degree
+    times the identity) on the unitary connections every caller passes; a key whose
+    square is not raises.  The eigensolve runs on the Schur complement ``I - Y Y^H``,
+    ``Y = D_L^{-1/2} X D_R^{-1/2}``, of ``u = D_L^{1/2} v_L``, and ``v_R = -D_R^{-1} X^H
+    v_L``; on the mirror form when the R side is smaller, so it has min(n_L, n_R) rows."""
     n = prob.n_var
-    # Per constraint pair the system rows are (A (x) I) vec T_L - (I (x) B^T) vec T_R.
-    # The squares A^H A (x) I and I (x) conj(B) B^T are summed per slot key and
-    # placed once; the cross terms -A^H (x) B^T are added per pair.
+    # rows (A (x) I) vec T_L - (I (x) B^T) vec T_R per pair: squares per key, cross -A^H (x) B^T
+    n_left = min((prob.offsets[k] for k in prob.keys if k[0] == "R"), default=n)
     squares: dict[tuple, np.ndarray] = {}
-    gram = np.zeros((n, n), dtype=complex)
+    cross = np.zeros((n_left, n - n_left), dtype=complex)
     for kl, kr, a_mat, b_mat in prob.pairs:
         if kl:
             squares[kl] = squares.get(kl, 0) + a_mat.conj().T @ a_mat
         if kr:
             squares[kr] = squares.get(kr, 0) + b_mat.conj() @ b_mat.T
         if kl and kr:
-            cross = _gram_block(gram, prob, kl, kr)
-            cross -= a_mat.conj().T[:, None, :, None] * b_mat.T[None, :, None, :]
-    for key, sq in squares.items():
-        blk = _gram_block(gram, prob, key, key)
-        if key[0] == "L":  # A^H A (x) I
-            idx = np.arange(prob.shapes[key][1])
-            blk[:, idx, :, idx] = sq
-        else:              # I (x) conj(B) B^T
-            idx = np.arange(prob.shapes[key][0])
-            blk[idx, :, idx, :] = sq
-    # every L offset precedes every R offset: the lower cross region mirrors the upper
-    n_left = min((prob.offsets[k] for k in prob.keys if k[0] == "R"), default=n)
-    gram[n_left:, :n_left] = gram[:n_left, n_left:].conj().T
-    null_mask, evecs, smax = gram_null_space(gram, True, DecompositionError,
+            (d1, s1), (d2, s2) = prob.shapes[kl], prob.shapes[kr]
+            o1, o2 = prob.offsets[kl], prob.offsets[kr] - n_left
+            blk = cross[o1:o1 + d1 * s1, o2:o2 + d2 * s2].reshape(d1, s1, d2, s2)
+            blk -= a_mat.conj().T[:, None, :, None] * b_mat.T[None, :, None, :]
+    by_size: dict[int, list[tuple]] = {}    # the squares' inverse roots, one eigh per size
+    for k in prob.keys:
+        by_size.setdefault(prob.shapes[k][0 if k[0] == "L" else 1], []).append(k)
+    factors: dict[tuple, np.ndarray] = {}
+    for m, keys in by_size.items():
+        evals, evecs = np.linalg.eigh(np.array([squares.get(k, np.zeros((m, m))) for k in keys]))
+        if np.any(bad := evals[:, 0] <= 0):
+            raise DecompositionError(f"hom system square at {keys[int(np.argmax(bad))]} "
+                                     "is not positive definite")
+        factors |= zip(keys, (evecs / np.sqrt(evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2))
+    left = [k for k in prob.keys if k[0] == "L"]
+    right = prob.keys[len(left):]
+    _factor_rows(prob, factors, left, cross)
+    y_h = np.ascontiguousarray(cross.conj().T)     # Y^H
+    _factor_rows(prob, factors, right, y_h)
+    # z maps the smaller side's u to the other side's rows, and S = I - z^H z
+    small, big, z = (left, right, y_h) if 2 * n_left <= n else (right, left, y_h.conj().T)
+    s_mat = np.eye(z.shape[1]) - z.conj().T @ z
+    null_mask, evecs, smax = gram_null_space(s_mat, True, DecompositionError,
                                              "no clean spectral gap in hom system")
-    kern = np.ascontiguousarray(evecs[:, null_mask].T)
+    if not null_mask.any():     # no kernel vector, nothing to rebuild or check
+        return np.zeros((0, n), dtype=complex)
+    u = evecs[:, null_mask]
+    rest = -(z @ u)
+    _factor_rows(prob, factors, small, u)
+    _factor_rows(prob, factors, big, rest)
+    v = np.vstack((u, rest) if small is left else (rest, u))    # in offset order: L, then R
+    kern = np.ascontiguousarray(np.linalg.qr(v)[0].T)
     r = prob.residual(kern)
     if r > HOM_RESIDUAL_EPS * max(1.0, smax):
         raise DecompositionError(f"kernel vector violates intertwining ({r:.3e})")
@@ -191,8 +211,8 @@ def _hom_kernel(prob: _HomProblem) -> np.ndarray:
 
 
 def hom_space(src: Connection, dst: Connection) -> list[np.ndarray]:
-    """Orthonormal basis of the intertwiner families from `src` to `dst`:
-    the rows of :func:`_hom_kernel`, flat in :class:`_HomProblem` order."""
+    """Orthonormal basis of the intertwiner families from unitary `src` to `dst`: the rows
+    of :func:`_hom_kernel`, flat in :class:`_HomProblem` order.  Every hom solve runs here."""
     return list(_hom_kernel(_HomProblem(src, dst)))
 
 
@@ -214,7 +234,7 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[dict[tuple, np
     Reseeds on spectral collisions; raises after eight failures.
     """
     prob = _HomProblem(c, c)
-    kern = _hom_kernel(prob)
+    kern = np.array(hom_space(c, c))
     if not len(kern):
         raise DecompositionError("endomorphism algebra is empty")
     defect = float(np.max(_span_distance(kern, prob.adjoint(kern))))
@@ -595,8 +615,9 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
             if depth == 1:  # the identity's product is W W-bar itself
                 first_power = dict(zip(classes, counts))
 
-    # canonical labels: dimension, then first power of appearance, then the matrix
-    classes.sort(key=lambda e: (round(e.d, 9), e.first_n, tuple(e.m.reshape(-1))))
+    # canonical labels: dimension, then first power of appearance, then the left and
+    # right multiplicity matrices, none of which depends on the order of discovery
+    classes.sort(key=lambda e: (round(e.d, 9), e.first_n, tuple(_vertical_counts(e.rep).flat)))
     for i, e in enumerate(classes):
         e.label = f"a{i}"
     identity_label = classes[0].label

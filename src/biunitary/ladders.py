@@ -125,11 +125,11 @@ class Ladder:
 
     def pinned_defect(self, counts: dict[tuple[str, str], int]) -> float:
         """Squared Frobenius norm of the pinned transports minus delta times
-        the identity, summed over anchor pairs with equal endpoints on the
-        unrestricted path-pair space, given the grid sizes of the length-k
-        paths.  Bond Grams are block diagonal over the bond endpoints, so the
-        sum runs per block; on delta-valued connections the entries are small
-        integers, so it is exact."""
+        the identity, summed over anchor pairs with equal endpoints on
+        ``B_k``, given the grid sizes of the length-k paths: the transports
+        vanish on the path pairs with different ends.  Bond Grams are block
+        diagonal over the bond endpoints, so the sum runs per block; on
+        delta-valued connections the entries are small integers, so it is exact."""
         scale = trace = 0.0
         for (top, bottom), blk in self.blocks.items():
             f = blk.reshape(*blk.shape[:2], -1)
@@ -138,9 +138,9 @@ class Ladder:
             if top == bottom:
                 tr = np.einsum("abpp->ab", blk)
                 trace += float(np.vdot(tr, tr).real)
-        # against the identity on the paths from the anchor's range y
-        n_y = [sum(n for (x, _), n in counts.items() if x == y) for _, _, y in self.anchors.edges]
-        return scale + (float(sum(n * n for n in n_y)) - 2.0 * trace)
+        # against the identity on B_k(y), the path pairs from the anchor's range y with equal ends
+        dim_b = [sum(n * n for (x, _), n in counts.items() if x == y) for _, _, y in self.anchors.edges]
+        return scale + (float(sum(dim_b)) - 2.0 * trace)
 
 
 class LadderEngine:

@@ -153,11 +153,10 @@ def flat_fields(w_conn: Connection, k: int, return_basis: bool = True) -> FlatFi
     flat fields, rebuilt in one complex array as ``R_x v`` from the real
     null vectors v while the reach stacks are dropped.  On one base vertex
     every anchor is a loop and the tree is empty, so the half ladder's
-    pinned defect bounds ``Σ ‖C‖²`` (it also counts the path pairs with
-    different ends); when it is at most ``FROBENIUS_SKIP_SQ``,
+    pinned defect is ``Σ ‖C‖²``; when it is at most ``FROBENIUS_SKIP_SQ``,
     ``stacked_null_space`` would leave every stack out, so no system is
     formed and the basis is the unit strings.  With several base vertices a
-    non-loop anchor adds ``n_y² >= 1`` to it, and it is not computed.
+    non-loop anchor adds ``dim B_k(y) >= 1`` to it, and it is not computed.
     ValueError is raised before the half ladder, the stacks and basis or
     the shortcut's basis would exceed ``DENSE_BUDGET_BYTES``.
     """

@@ -1,6 +1,8 @@
 """Intertwiner spaces, splitting, discovery, fusion data, statistics."""
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import biunitary.nullspace
 from biunitary import (
     DecompositionError,
     DepthExceededError,
+    Connection,
     build_dynkin,
     build_identity,
     check_biunitarity,
@@ -32,6 +35,7 @@ from biunitary.nullspace import HOM_RESIDUAL_EPS
 
 from conftest import ALL_BUILDERS, make_builder
 from fusion_oracle import hom_conjugates, hom_fusion_tables
+from hom_oracle import full_gram_hom_kernel
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -125,6 +129,87 @@ class TestHomSpace:
         # solving reads the cells once per constraint pair and side
         assert len(_hom_kernel(prob)) == 2  # A4: W W-bar is 1 + a1
         assert len(read) == 2 * len(prob.pairs) > 0
+
+
+def discovered_problems(conn):
+    """Every hom problem that discovery on `conn` solves, in order."""
+    probs, kernel = [], biunitary.decomp._hom_kernel
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(biunitary.decomp, "_hom_kernel", lambda prob: probs.append(prob) or kernel(prob))
+        discover_irreducibles(conn)
+    return probs
+
+
+DISCOVERED = ALL_BUILDERS + ["dynkin:E7", "dynkin:D7"]
+
+
+class TestSchurKernel:
+    """The hom kernel on the Schur complement against the full-Gram oracle."""
+
+    @pytest.mark.parametrize("name", DISCOVERED)
+    def test_same_kernel_as_the_full_gram(self, name):
+        probs = discovered_problems(make_builder(name))
+        assert probs
+        for prob in probs:
+            kern, want = _hom_kernel(prob), full_gram_hom_kernel(prob)
+            assert kern.shape == want.shape
+            assert np.max(np.abs(kern.conj().T @ kern - want.conj().T @ want), initial=0) < 1e-12
+
+    @pytest.mark.parametrize("name", DISCOVERED)
+    def test_each_square_is_a_degree_times_the_identity(self, name):
+        # an L key (x, z) gets the bottom edges out of z, an R key (y, w) the top edges into y
+        for prob in discovered_problems(make_builder(name)):
+            src = prob._src
+            out_of = Counter(z for _, z, _ in src.bottom.edges)
+            into = Counter(y for _, _, y in src.top.edges)
+            squares = {}
+            for kl, kr, a_mat, b_mat in prob.pairs:
+                if kl:
+                    squares[kl] = squares.get(kl, 0) + a_mat.conj().T @ a_mat
+                if kr:
+                    squares[kr] = squares.get(kr, 0) + b_mat.conj() @ b_mat.T
+            assert squares.keys() == set(prob.keys)
+            for (side, u, v), sq in squares.items():
+                deg = out_of[v] if side == "L" else into[u]
+                assert np.max(np.abs(sq - deg * np.eye(len(sq)))) < 1e-13
+
+    def test_a_zeroed_cell_block_is_refused(self):
+        # on the A3 product the key (L, x, x) at an end vertex x meets one cell block
+        wt = wtilde(build_dynkin("A3"))
+        uses = Counter(kl for kl, _, _, _ in _HomProblem(wt, wt).pairs)
+        t, b, key = next((t, b, ("L", x, z)) for t, x, _ in wt.top.edges
+                         for b, z, _ in wt.bottom.edges if uses[("L", x, z)] == 1)
+        values = {c: v for c, v in wt.values.items() if (c.top, c.bottom) != (t, b)}
+        zeroed = Connection(wt.top, wt.left, wt.bottom, wt.right, wt.mu, values)
+        assert not zeroed.cell_matrix(t, b).any() and wt.cell_matrix(t, b).any()
+        with pytest.raises(DecompositionError,
+                           match=f"^hom system square at {re.escape(str(key))} is not positive definite$"):
+            hom_space(zeroed, zeroed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["D5", "D7", "E7"])
+    def test_labels_do_not_follow_the_kernel_basis(self, monkeypatch, name, seed):
+        def discover():
+            calls, hom = [], biunitary.decomp.hom_space
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(biunitary.decomp, "hom_space",
+                          lambda src, dst: calls.append(src) or hom(src, dst))
+                fd, _, _ = discover_irreducibles(build_dynkin(name), seed=seed)
+            return fd, len(calls)
+
+        want, want_solves = discover()
+        kernel, rng = biunitary.decomp._hom_kernel, np.random.default_rng(100 + seed)
+
+        def rotated(prob):     # the same space in another orthonormal basis
+            kern = kernel(prob)
+            z = rng.standard_normal((len(kern),) * 2) + 1j * rng.standard_normal((len(kern),) * 2)
+            return np.linalg.qr(z)[0] @ kern
+
+        monkeypatch.setattr(biunitary.decomp, "_hom_kernel", rotated)
+        got, got_solves = discover()
+        assert got.labels == want.labels and got_solves == want_solves
+        assert (got.n_table, got.conj, got.l_table) == (want.n_table, want.conj, want.l_table)
+        assert all(np.array_equal(got.m_table[a], want.m_table[a]) for a in want.labels)
 
 
 class TestSplitting:
@@ -508,9 +593,10 @@ class TestIntegerFusion:
         (lambda kern: [2 * t for t in kern], "is not a projection"),       # not orthonormal
     ])
     def test_a_faulty_hom_count_stops_the_peel(self, monkeypatch, broken, message):
+        # only the peel's counts are broken: End(c), solved with src is dst, stays whole
         hom = biunitary.decomp.hom_space
         monkeypatch.setattr(biunitary.decomp, "hom_space",
-                            lambda src, dst: broken(hom(src, dst)))
+                            lambda src, dst: hom(src, dst) if src is dst else broken(hom(src, dst)))
         with pytest.raises(DecompositionError, match=message):
             discover_irreducibles(build_dynkin("A4"))
 

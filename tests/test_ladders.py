@@ -66,17 +66,21 @@ def constraint_stacks(conn, k):
 
 
 def dense_total_defect_sq(lad, conn, basis):
-    """The former ``strings._total_defect_sq`` on the dense ladder."""
+    """The former ``strings._total_defect_sq`` on the dense ladder, against the
+    identity on ``B_k(y)``: the path pairs from an anchor's range y with equal ends."""
     pair = [(s, r) for _, s, r in conn.left.edges]
     same = np.array([[p1 == p2 for p2 in pair] for p1 in pair])
-    starts = Counter(conn.top.source(p[0]) for p in basis.pathset.paths[basis.k])
-    n_y = np.array([starts[r] for _, r in pair])
+    grids = Counter(zip((conn.top.source(p[0]) for p in basis.pathset.paths[basis.k]),
+                        path_ends(basis.pathset, basis.k)))
+    dim_b = Counter()
+    for (y, _), n in grids.items():
+        dim_b[y] += n * n
     flat = lad.reshape(lad.shape[0], lad.shape[1], -1)
     bond_gram = np.array([np.conj(f) @ f.T for f in flat]).reshape(len(flat), -1)
     t_sq = np.real(bond_gram @ np.conj(bond_gram).T)
     scale = float(np.sum(t_sq[same]))
     tr = np.einsum("abpp->ab", lad)
-    cross = float(np.sum(n_y * n_y)) - 2.0 * float(np.vdot(tr, tr).real)
+    cross = float(sum(dim_b[r] for _, r in pair)) - 2.0 * float(np.vdot(tr, tr).real)
     return scale + cross, scale
 
 
@@ -175,14 +179,14 @@ class TestTotalDefect:
     @pytest.mark.parametrize("name", [b for b in ALL_BUILDERS if not b.startswith("trivial")])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_other_connections_stay_off_the_shortcut(self, systems, name, k):
-        # several base vertices: each non-loop anchor x -> y adds the n_y^2 path
-        # pairs from y, at least 1, where the transports have no trace
+        # several base vertices: each non-loop anchor x -> y adds dim B_k(y), the
+        # path pairs from y with equal ends, at least 1, where the transports have no trace
         wn = systems(name).wn
         wt = _constraint_blocks(wn)
         basis = StringBasis(wn.top, k)
         lad = LadderEngine(wt).half_ladder(basis.pathset, k)
         counts = grid_counts(basis.graph, k)
-        pairs = sum(sum(n for (x, _), n in counts.items() if x == y) ** 2
+        pairs = sum(sum(n * n for (x, _), n in counts.items() if x == y)
                     for _, x, y in wt.left.edges if x != y)
         assert len(basis.base_vertices) > 1 and pairs >= 1
         assert lad.pinned_defect(counts) >= pairs * (1 - 1e-12)

@@ -77,6 +77,24 @@ def test_a_json_report_names_the_fields_that_differ(tmp_path, capsys):
     ]
 
 
+def test_a_differing_matrix_shows_its_largest_entrywise_difference(tmp_path, capsys):
+    doc = {"matrix": [["0.5+0j", "0+0j"], ["0+0j", "0.5+0j"]], "rank": 1}
+    near = doc | {"matrix": [["0.50000000000000011+0j", "0+0j"], ["0+0j", "0.5+0j"]]}
+    wide = doc | {"matrix": [["0.5+0j", "0+0j"]]}
+    a = write(tmp_path, "a", {"pmpo-x.stdout": json.dumps(doc).encode(),
+                              "pmpo-y.stdout": json.dumps(doc).encode()})
+    b = write(tmp_path, "b", {"pmpo-x.stdout": json.dumps(near).encode(),
+                              "pmpo-y.stdout": json.dumps(wide).encode()})
+    assert reports.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'pmpo-x.stdout: matrix [["0.5+0j", "0+0j"], ["0+0j", "0.5+0j"]] != '
+        '[["0.50000000000000011+0j", "0+0j"], ["0+0j", "0.5+0j"]] '
+        "(largest entrywise difference 1.110e-16)",
+        'pmpo-y.stdout: matrix [["0.5+0j", "0+0j"], ["0+0j", "0.5+0j"]] != [["0.5+0j", "0+0j"]]',
+        "0 of 2 files agree",
+    ]
+
+
 def test_usage(capsys):
     assert reports.main(["--compare", "only-one"]) == 2
     assert "usage" in capsys.readouterr().err

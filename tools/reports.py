@@ -21,7 +21,9 @@ field that differs, with both values.  Every file must be byte-equal,
 except the ``basis`` arrays of the ``relcomm`` reports: the flat basis
 vectors are a gauge choice, so there only the projector ``V V^*`` of the
 rows (each row one st-2 orthonormal vector) must agree within
-``BASIS_TOL``, and every other field of the report must be equal.
+``BASIS_TOL``, and every other field of the report must be equal.  A
+differing ``matrix`` field of equal shape (``pmpo --dump``) is shown with
+its largest entrywise difference.
 """
 
 from __future__ import annotations
@@ -59,8 +61,12 @@ REPORTS = (
 )
 
 
+def _matrix(rows: list[list[str]]) -> np.ndarray:
+    return np.array([[complex(z) for z in row] for row in rows], dtype=complex)
+
+
 def _projector(rows: list[list[str]]) -> np.ndarray:
-    v = np.array([[complex(z) for z in row] for row in rows], dtype=complex)
+    v = _matrix(rows)
     return v.T @ v.conj()
 
 
@@ -100,6 +106,10 @@ def _difference(name: str, a: bytes, b: bytes) -> str | None:
             why.append(_basis_difference(va, vb))
         elif json.dumps(va) != json.dumps(vb):
             why.append(f"{key} {_show(va)} != {_show(vb)}")
+            if key == "matrix" and ABSENT not in (va, vb):
+                ma, mb = _matrix(va), _matrix(vb)
+                if ma.shape == mb.shape:
+                    why[-1] += f" (largest entrywise difference {np.max(np.abs(ma - mb)):.3e})"
     why = [w for w in why if w is not None]
     if why:
         return "; ".join(why)
