@@ -194,8 +194,8 @@ def _hom_kernel(prob: _HomProblem) -> np.ndarray:
     # z maps the smaller side's u to the other side's rows, and S = I - z^H z
     small, big, z = (left, right, y_h) if 2 * n_left <= n else (right, left, y_h.conj().T)
     s_mat = np.eye(z.shape[1]) - z.conj().T @ z
-    null_mask, evecs, smax = gram_null_space(s_mat, True, DecompositionError,
-                                             "no clean spectral gap in hom system")
+    null_mask, evecs, _ = gram_null_space(s_mat, True, DecompositionError,
+                                          "no clean spectral gap in hom system")
     if not null_mask.any():     # no kernel vector, nothing to rebuild or check
         return np.zeros((0, n), dtype=complex)
     u = evecs[:, null_mask]
@@ -205,7 +205,7 @@ def _hom_kernel(prob: _HomProblem) -> np.ndarray:
     v = np.vstack((u, rest) if small is left else (rest, u))    # in offset order: L, then R
     kern = np.ascontiguousarray(np.linalg.qr(v)[0].T)
     r = prob.residual(kern)
-    if r > HOM_RESIDUAL_EPS * max(1.0, smax):
+    if r > HOM_RESIDUAL_EPS:
         raise DecompositionError(f"kernel vector violates intertwining ({r:.3e})")
     return kern
 
@@ -615,8 +615,8 @@ def discover_irreducibles(w_conn: Connection, max_depth: int = 12, seed: int = 0
             if depth == 1:  # the identity's product is W W-bar itself
                 first_power = dict(zip(classes, counts))
 
-    # canonical labels: dimension, then first power of appearance, then the left and
-    # right multiplicity matrices, none of which depends on the order of discovery
+    # canonical labels: dimension, first power, left and right multiplicity matrices, all
+    # gauge-free; classes tied on all of them (none on the builders) keep discovery order
     classes.sort(key=lambda e: (round(e.d, 9), e.first_n, tuple(_vertical_counts(e.rep).flat)))
     for i, e in enumerate(classes):
         e.label = f"a{i}"

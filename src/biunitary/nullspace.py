@@ -33,8 +33,8 @@ GAP_FACTOR = 50
 # this close to that integer.
 INTEGRALITY_EPS = 1e-9
 
-# Cuts of the endomorphism splitting in ``decomp``.  A hom kernel vector must
-# satisfy the intertwining equations to this, relative to max(1, sigma_max).
+# Cuts of the endomorphism splitting in ``decomp``.  A hom kernel vector of unit
+# norm must satisfy the intertwining equations to this (cell blocks have norm <= 1).
 HOM_RESIDUAL_EPS = 1e-8
 # End(c) is adjoint-closed when every basis adjoint is this close to the span.
 ADJOINT_CLOSURE_EPS = 1e-6

@@ -198,18 +198,33 @@ class TestSchurKernel:
             return fd, len(calls)
 
         want, want_solves = discover()
-        kernel, rng = biunitary.decomp._hom_kernel, np.random.default_rng(100 + seed)
+        kernel = biunitary.decomp._hom_kernel
+        for rotation in range(3):
+            rng = np.random.default_rng(100 + 10 * seed + rotation)
 
-        def rotated(prob):     # the same space in another orthonormal basis
-            kern = kernel(prob)
-            z = rng.standard_normal((len(kern),) * 2) + 1j * rng.standard_normal((len(kern),) * 2)
-            return np.linalg.qr(z)[0] @ kern
+            def rotated(prob):     # the same space in another orthonormal basis
+                kern = kernel(prob)
+                z = rng.standard_normal((len(kern),) * 2) + 1j * rng.standard_normal((len(kern),) * 2)
+                return np.linalg.qr(z)[0] @ kern
 
-        monkeypatch.setattr(biunitary.decomp, "_hom_kernel", rotated)
-        got, got_solves = discover()
-        assert got.labels == want.labels and got_solves == want_solves
-        assert (got.n_table, got.conj, got.l_table) == (want.n_table, want.conj, want.l_table)
-        assert all(np.array_equal(got.m_table[a], want.m_table[a]) for a in want.labels)
+            monkeypatch.setattr(biunitary.decomp, "_hom_kernel", rotated)
+            got, got_solves = discover()
+            assert got.labels == want.labels and got_solves == want_solves
+            assert (got.n_table, got.conj, got.l_table) == (want.n_table, want.conj, want.l_table)
+            assert all(np.array_equal(got.m_table[a], want.m_table[a]) for a in want.labels)
+
+    @pytest.mark.parametrize("name", ["D5", "D7", "E6", "E7", "A11"])
+    def test_the_label_key_separates_every_class(self, monkeypatch, name):
+        # a tie on the full key would leave its classes in discovery order, which
+        # follows the kernel basis; E7 has two classes with equal d, M_L and M_R
+        made, entry = [], biunitary.decomp._ClassEntry
+        monkeypatch.setattr(biunitary.decomp, "_ClassEntry",
+                            lambda *a: made.append(entry(*a)) or made[-1])
+        discover_irreducibles(build_dynkin(name))
+        keys = [(round(e.d, 9), e.first_n, tuple(_vertical_counts(e.rep).flat)) for e in made]
+        assert len(set(keys)) == len(keys)
+        if name == "E7":
+            assert len({k[:1] + k[2:] for k in keys}) == len(keys) - 1
 
 
 class TestSplitting:
