@@ -144,8 +144,8 @@ class _HomProblem:
 
 
 def _factor_rows(prob: _HomProblem, factors: dict, keys: list, rows: np.ndarray) -> None:
-    """Multiply in place the rows of each of one side's keys, from ``keys[0]`` on, by its
-    factor, on the dst index of an L block and the src index of an R block."""
+    """Multiply in place the rows of each of the consecutive ``keys``, from ``keys[0]`` on, by
+    its factor, on the dst index of an L block and the src index of an R block."""
     for k in keys:
         (d, s), o = prob.shapes[k], prob.offsets[k] - prob.offsets[keys[0]]
         x = rows[o:o + d * s]
@@ -176,33 +176,32 @@ def _hom_kernel(prob: _HomProblem) -> np.ndarray:
             o1, o2 = prob.offsets[kl], prob.offsets[kr] - n_left
             blk = cross[o1:o1 + d1 * s1, o2:o2 + d2 * s2].reshape(d1, s1, d2, s2)
             blk -= a_mat.conj().T[:, None, :, None] * b_mat.T[None, :, None, :]
-    by_size: dict[int, list[tuple]] = {}    # the squares' inverse roots, one eigh per size
-    for k in prob.keys:
-        by_size.setdefault(prob.shapes[k][0 if k[0] == "L" else 1], []).append(k)
-    factors: dict[tuple, np.ndarray] = {}
-    for m, keys in by_size.items():
-        evals, evecs = np.linalg.eigh(np.array([squares.get(k, np.zeros((m, m))) for k in keys]))
-        if np.any(bad := evals[:, 0] <= 0):
-            raise DecompositionError(f"hom system square at {keys[int(np.argmax(bad))]} "
-                                     "is not positive definite")
-        factors |= zip(keys, (evecs / np.sqrt(evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2))
+    # the squares' inverse roots in one batched eigh, each padded by the identity to the largest
+    sizes = [prob.shapes[k][0 if k[0] == "L" else 1] for k in prob.keys]
+    padded = np.tile(np.eye(max(sizes, default=0), dtype=complex), (len(sizes), 1, 1))
+    for sq, k, m in zip(padded, prob.keys, sizes):
+        sq[:m, :m] = squares.get(k, 0)
+    evals, evecs = np.linalg.eigh(padded)
+    if np.any(bad := np.min(evals, axis=1, initial=1.0) <= 0):
+        raise DecompositionError(f"hom system square at {prob.keys[int(np.argmax(bad))]} "
+                                 "is not positive definite")
+    roots = (evecs / np.sqrt(evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+    factors = {k: r[:m, :m] for k, m, r in zip(prob.keys, sizes, roots)}
     left = [k for k in prob.keys if k[0] == "L"]
     right = prob.keys[len(left):]
     _factor_rows(prob, factors, left, cross)
     y_h = np.ascontiguousarray(cross.conj().T)     # Y^H
     _factor_rows(prob, factors, right, y_h)
     # z maps the smaller side's u to the other side's rows, and S = I - z^H z
-    small, big, z = (left, right, y_h) if 2 * n_left <= n else (right, left, y_h.conj().T)
+    z = y_h if (left_small := 2 * n_left <= n) else y_h.conj().T
     s_mat = np.eye(z.shape[1]) - z.conj().T @ z
     null_mask, evecs, _ = gram_null_space(s_mat, True, DecompositionError,
                                           "no clean spectral gap in hom system")
     if not null_mask.any():     # no kernel vector, nothing to rebuild or check
         return np.zeros((0, n), dtype=complex)
     u = evecs[:, null_mask]
-    rest = -(z @ u)
-    _factor_rows(prob, factors, small, u)
-    _factor_rows(prob, factors, big, rest)
-    v = np.vstack((u, rest) if small is left else (rest, u))    # in offset order: L, then R
+    v = np.vstack((u, -(z @ u)) if left_small else (-(z @ u), u))    # offset order: L, then R
+    _factor_rows(prob, factors, prob.keys, v)
     kern = np.ascontiguousarray(np.linalg.qr(v)[0].T)
     r = prob.residual(kern)
     if r > HOM_RESIDUAL_EPS:
