@@ -17,7 +17,7 @@ from biunitary import (
     jones_projection,
     jones_span_dimension,
     operator_rank,
-    pmpo_P_tilde,
+    pmpo_P,
 )
 from biunitary.bratteli import (
     Bratteli2,
@@ -43,7 +43,7 @@ braid = es[0] @ es[1] @ es[0] - (g1 ** -2) * es[0]
 print(f"   e_1 e_2 e_1 = e_1 / gamma^2, residual {np.max(np.abs(braid.vec)):.2e}")
 
 span = jones_span_dimension(wn.top, wn.mu, g1, fd.w, 3, sb)
-rank = operator_rank(pmpo_P_tilde(fd, reps, 3, sb))
+rank = operator_rank(pmpo_P(fd, reps, 3, sb))
 print(f"   span of idempotent words: {span}; projector rank: {rank}")
 
 print("\n== flat fields carry the same structure")

@@ -60,10 +60,8 @@ from .ladders import Ladder, LadderEngine, PathSet
 from .mpo import (
     MPOOperator,
     mpo_O,
-    mpo_O_tilde,
     operator_rank,
     pmpo_P,
-    pmpo_P_tilde,
     projector_trace,
 )
 from .strings import (

@@ -8,13 +8,15 @@ non-terminating closure), and 2 on unreadable or invalid input.
 ``--tol`` is the bi-unitarity threshold of ``check``; discovery and
 compression use it floored at 1e-8.  ``relcomm`` runs no discovery: it
 records ``--tol`` in its provenance but does not use it.  The 1e-6 Gram cut
-with its 50x gap and the 1e-8 rank cut are fixed.
+and the 1e-8 rank cut, each with its 50x gap, are fixed.
 
 ``verify-theorem`` takes the rank of P^k as its trace, computed without
 forming the operator, and exits 1 unless that trace lies within 1e-9 of an
 integer.  ``pmpo`` builds the dense P^k for its SVD/eigen rank and its
-idempotency residual, and exits 2 before building it when the two dense
-arrays it holds would exceed half of physical memory.  ``relcomm`` and
+idempotency residual, exits 1 when that spectrum has no clean gap at the
+rank cut, and exits 2 before building it when the two dense arrays it holds
+would exceed half of physical memory; it sizes them from the path counts,
+listing no path.  ``relcomm`` and
 ``verify-theorem`` exit 2 under the same budget before a flat solve whose
 half-ladder blocks or stacks would exceed it; ``verify-theorem`` solves
 its largest k first, so an oversized k is refused before any other solve.
@@ -55,6 +57,7 @@ from .connection import (
 )
 from .decomp import discover_irreducibles, sector_statistics
 from .graphs import GraphError
+from .ladders import grid_counts
 from .mpo import operator_rank, pmpo_P, projector_trace
 from .nullspace import DEFAULT_TOL, INTEGRALITY_EPS, PMPO_IDEMPOTENCY_EPS, check_budget
 from .strings import flat_fields
@@ -387,12 +390,12 @@ def _theorem_rows(conn, args):
 def cmd_pmpo(args) -> int:
     conn, h = _load(args)
     fd, reps, wn = _discover(conn, args)
-    sbasis = StringBasis(wn.top, args.k)
-    what = f"dense P^k at k={args.k} on dim B_k = {sbasis.dim}"
+    dim = sum(n * n for n in grid_counts(wn.top, args.k).values())     # listing no path
+    what = f"dense P^k at k={args.k} on dim B_k = {dim}"
     # the operator, and pmpo_P's block product or eigvalsh's copy; the checks go by row blocks
-    check_budget(2 * 16 * sbasis.dim ** 2, what, "two dense dim B_k x dim B_k arrays")
+    check_budget(2 * 16 * dim ** 2, what, "two dense dim B_k x dim B_k arrays")
     dump = args.dump and args.format == "json"
-    lbasis = LoopBasis(sbasis, wn.mu)
+    lbasis = LoopBasis(StringBasis(wn.top, args.k), wn.mu)
     p = pmpo_P(fd, reps, args.k, lbasis)
     rank = operator_rank(p)
     defect = p.idempotency_defect()

@@ -682,12 +682,15 @@ def connection_from_document(doc: dict) -> Connection:
         name = doc.get("name", "")
         if not isinstance(name, str):
             raise TypeError(f"{name!r} is not a string")
+        where = "base"
+        base = doc.get("base")
+        if base is not None and not isinstance(base, str):
+            raise TypeError(f"{base!r} is not a string")
     except GraphError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
         raise ConnectionError(f"connection document: missing or invalid field {where!r} "
                               f"({type(err).__name__}: {err})") from err
-    base = doc.get("base")
     if not mu:
         # weights are optional in the format: recover them from the graphs
         try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,10 @@ from .nullspace import (
     DEFAULT_TOL,
     HOM_RESIDUAL_EPS,
     IDEMPOTENCY_EPS,
-    MINIMALITY_RANK_EPS,
+    RANK_EPS,
     SPAN_EPS,
     gram_null_space,
+    null_mask,
 )
 
 __all__ = [
@@ -230,7 +232,7 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[dict[tuple, np
     Certifies that End(c) is closed under the slot-wise adjoint, draws a
     seeded random self-adjoint element, splits its spectrum globally across
     the vertex-pair blocks, and verifies each spectral projection is minimal.
-    Reseeds on spectral collisions; raises after eight failures.
+    Reseeds on spectral collisions and gap failures; raises after eight.
     """
     prob = _HomProblem(c, c)
     kern = np.array(hom_space(c, c))
@@ -275,8 +277,12 @@ def end_minimal_projections(c: Connection, seed: int = 0) -> list[dict[tuple, np
         span = np.concatenate([(b[:, None] @ prob.block(kern, k) @ b[:, None])
                                .reshape(len(projs), len(kern), -1)
                                for b, k in zip(ps, prob.keys)], axis=-1)
-        cut = MINIMALITY_RANK_EPS * np.maximum(1.0, np.abs(span).max(axis=(1, 2)))
-        if np.all(np.linalg.matrix_rank(span, tol=cut) == 1):
+        try:    # minimal: the compressions of each cluster keep one singular value
+            null = null_mask(np.linalg.svd(span, compute_uv=False), RANK_EPS,
+                             DecompositionError, "minimality test has no clean spectral gap")
+        except DecompositionError:
+            continue
+        if np.all(np.count_nonzero(~null, axis=-1) == 1):
             return [{k: prob.block(p, k) for k in prob.keys} for p in projs]
     raise DecompositionError("spectral-gap failure after 8 reseeds")
 
@@ -675,10 +681,12 @@ def sector_statistics(fd: FusionData, w_conn: Connection, n: int) -> SectorStati
         raise ConnectionError("sector statistics need a connection with a base vertex")
     counts = count_paths(w_conn.left, w_conn.base, 2 * n)
     k = {x: counts.get(x, 0) for x in fd.v0}
-    alpha = math.sqrt(sum(v * v for v in k.values()))
-    kappa = {x: v / alpha for x, v in k.items()}
     mult = fd.multiplicities(n)
-    beta = math.sqrt(sum(v * v for v in mult.values()))
+    squares = (sum(v * v for v in k.values()), sum(v * v for v in mult.values()))
+    if max(squares) > sys.float_info.max:     # an exact int-float comparison
+        raise ValueError(f"level n = {n} is too large: its squared counts exceed a float")
+    alpha, beta = math.sqrt(squares[0]), math.sqrt(squares[1])
+    kappa = {x: v / alpha for x, v in k.items()}
     lam = {a: v / beta for a, v in mult.items()}
     return SectorStatistics(n=n, path_counts=k, alpha=alpha, kappa=kappa,
                             power_multiplicities=mult, beta=beta, lam=lam)

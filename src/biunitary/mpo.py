@@ -18,17 +18,9 @@ import numpy as np
 from .bases import LoopBasis, StringBasis
 from .connection import Connection
 from .ladders import LadderEngine, paired_string_operator
-from .nullspace import HERMITIAN_EPS, RANK_EPS
+from .nullspace import HERMITIAN_EPS, RANK_EPS, null_mask
 
-__all__ = [
-    "MPOOperator",
-    "mpo_O",
-    "mpo_O_tilde",
-    "pmpo_P",
-    "pmpo_P_tilde",
-    "projector_trace",
-    "operator_rank",
-]
+__all__ = ["MPOOperator", "mpo_O", "pmpo_P", "projector_trace", "operator_rank"]
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -63,46 +55,40 @@ class MPOOperator:
         return worst
 
 
-def mpo_O_tilde(a_conn: Connection, k: int, basis: StringBasis) -> MPOOperator:
-    """The string-side summand operator on B_k: the half ladder paired with
-    itself, the shared boundary bond summed."""
-    ladder = LadderEngine(a_conn).half_ladder(basis.pathset, k)
-    return MPOOperator(paired_string_operator(ladder.pairs(), basis))
+def _paired(terms, k: int, basis: StringBasis | LoopBasis) -> MPOOperator:
+    """Each ``(connection, scale)`` term's half ladder paired with itself, the
+    shared boundary bond summed, on a string basis; on a loop basis the same
+    operator on its strings, carried to the loops in place: f^-1 M f."""
+    strings = basis if isinstance(basis, StringBasis) else basis.strings
+    pairs = (term for conn, scale in terms
+             for term in LadderEngine(conn).half_ladder(strings.pathset, k).pairs(scale))
+    m = paired_string_operator(pairs, strings)
+    if strings is not basis:
+        m *= basis.fold_factor[None, :]
+        m /= basis.fold_factor[:, None]
+    return MPOOperator(m)
 
 
-def _fold(op: MPOOperator, basis: LoopBasis) -> MPOOperator:
-    """Carry a string-side operator to the loops, in place: f^-1 M f."""
-    f = basis.fold_factor
-    op.matrix *= f[None, :]
-    op.matrix /= f[:, None]
-    return op
+def mpo_O(a_conn: Connection, k: int, basis: StringBasis | LoopBasis) -> MPOOperator:
+    """The operator of one summand connection: O_a^k on the loops of length 2k,
+    or Õ_a^k on the strings of length k.
 
-
-def mpo_O(a_conn: Connection, k: int, basis: LoopBasis) -> MPOOperator:
-    """The length-2k operator of one summand connection on the loop space.
-
-    The loop basis is index-aligned with its string basis, and the loop-side
-    operator is the string-side one conjugated by the half-folding map: the
-    returning half is read mirrored, with the fold-normalization weights.
+    A loop basis is index-aligned with its strings, and O_a^k is Õ_a^k
+    conjugated by the half-folding map: the returning half is read mirrored,
+    with the fold-normalization weights.
     """
-    return _fold(mpo_O_tilde(a_conn, k, basis.strings), basis)
+    return _paired([(a_conn, 1.0)], k, basis)
 
 
-def pmpo_P_tilde(fd, reps: dict[str, Connection], k: int, basis: StringBasis) -> MPOOperator:
-    """The string-side projector sum_a (d_a / w) Õ_a^k, conjugate to P^k
-    under the folding map.
+def pmpo_P(fd, reps: dict[str, Connection], k: int,
+           basis: StringBasis | LoopBasis) -> MPOOperator:
+    """The projector P^k = sum_a (d_a / w) O_a^k on a loop basis, or its
+    conjugate under the folding map on a string basis.
 
     Every summand pairs its ladder with itself, so the whole sum is one
     pairing of the label ladders, each scaled by sqrt(d_a / w).
     """
-    pairs = (term for a in fd.labels for term in LadderEngine(reps[a])
-             .half_ladder(basis.pathset, k).pairs(np.sqrt(fd.d[a] / fd.w)))
-    return MPOOperator(paired_string_operator(pairs, basis))
-
-
-def pmpo_P(fd, reps: dict[str, Connection], k: int, basis: LoopBasis) -> MPOOperator:
-    """The projector sum_a (d_a / w) O_a^k."""
-    return _fold(pmpo_P_tilde(fd, reps, k, basis.strings), basis)
+    return _paired(((reps[a], np.sqrt(fd.d[a] / fd.w)) for a in fd.labels), k, basis)
 
 
 def projector_trace(fd, reps: dict[str, Connection], k: int) -> float:
@@ -125,7 +111,8 @@ def projector_trace(fd, reps: dict[str, Connection], k: int) -> float:
 
 
 def operator_rank(op) -> int:
-    """Number of singular values above RANK_EPS * max(1, sigma_max).
+    """Number of singular values kept by :func:`~biunitary.nullspace.null_mask`
+    at ``RANK_EPS``; RuntimeError when the spectrum has no clean gap there.
 
     Exactly diagonal matrices read their singular values off the diagonal
     and square Hermitian ones use their eigenvalues; both shortcuts are
@@ -139,8 +126,8 @@ def operator_rank(op) -> int:
         sigma = np.abs(np.linalg.eigvalsh(a))
     else:
         sigma = np.linalg.svd(a, compute_uv=False)
-    smax = float(np.max(sigma)) if sigma.size else 0.0
-    return int(np.count_nonzero(sigma > RANK_EPS * max(1.0, smax)))
+    return int(np.count_nonzero(~null_mask(sigma, RANK_EPS, RuntimeError,
+                                           "operator spectrum has no clean spectral gap")))
 
 
 def _is_hermitian(a: np.ndarray) -> bool:

@@ -1,6 +1,6 @@
-"""The fixed numerical cuts, the memory budget, and the one null-space
-decision on a Gram matrix ``C^* C`` that both the intertwiner solve and the
-flatness solve reduce to.
+"""The fixed numerical cuts, the memory budget, the one rank rule on
+singular values, and the null-space decision on a Gram matrix ``C^* C`` that
+both the intertwiner solve and the flatness solve reduce to.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import numpy as np
 # Default bi-unitarity threshold: ``check_biunitarity``, ``validate_square``
 # and the ``--tol`` option of the command line.
 DEFAULT_TOL = 1e-9
-# Singular-value cut of operator ranks, relative to max(1, sigma_max).
+# Singular-value cut of operator ranks and of the minimality test of spectral
+# projections in ``decomp``, relative to max(1, sigma_max).
 RANK_EPS = 1e-8
 # A square operator is ranked by its eigenvalues when it is Hermitian to this,
 # relative to max(1, its largest entry).
@@ -47,9 +48,6 @@ SPAN_EPS = 1e-7
 IDEMPOTENCY_EPS = 1e-9
 # ``pmpo`` exits 1 unless the idempotency residual of the dense P^k is below this.
 PMPO_IDEMPOTENCY_EPS = 1e-8
-# A spectral projection p is minimal when its compressions p t p of a basis
-# of End(c) have rank one at this cut, relative to max(1, largest entry).
-MINIMALITY_RANK_EPS = 1e-8
 # Discovery and compression check bi-unitarity at max(tol, this floor).
 BIUNITARITY_FLOOR = 1e-8
 
@@ -64,10 +62,26 @@ DENSE_BUDGET_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") //
 
 
 def check_budget(need: int, what: str, purpose: str) -> None:
-    """ValueError when ``need`` bytes exceed ``DENSE_BUDGET_BYTES``."""
+    """ValueError when ``need`` bytes exceed ``DENSE_BUDGET_BYTES``; a need too
+    large for a float is given as the power of two it reaches."""
     if need > DENSE_BUDGET_BYTES:
-        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB for {purpose}, above the budget "
+        gib = f"{need / 2**30:.1f}" if need < 2**1000 else f"at least 2^{need.bit_length() - 31}"
+        raise ValueError(f"{what} needs {gib} GiB for {purpose}, above the budget "
                          f"of {DENSE_BUDGET_BYTES / 2**30:.1f} GiB (half of physical memory)")
+
+
+def null_mask(sigma: np.ndarray, eps: float, error: type[Exception], prefix: str) -> np.ndarray:
+    """The rank rule: which singular values of each row of ``sigma`` (its last
+    axis) are null, those at most ``eps * max(1, sigma_max)`` of their row.
+    Raises ``error``, its message starting with ``prefix``, when a kept value
+    is within ``GAP_FACTOR`` of its row's cut."""
+    cut = eps * np.maximum(1.0, np.max(sigma, axis=-1, keepdims=True, initial=0.0))
+    null = sigma <= cut
+    kept = np.min(np.where(null, np.inf, sigma), axis=-1, keepdims=True, initial=np.inf)
+    if np.any(bad := kept < GAP_FACTOR * cut):
+        i = int(np.argmax(bad))
+        raise error(f"{prefix} (min nonzero {kept.flat[i]:.3e}, cut {cut.flat[i]:.3e})")
+    return null
 
 
 def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],
@@ -75,23 +89,17 @@ def gram_null_space(gram: np.ndarray, vectors: bool, error: type[Exception],
     """``(null mask, eigenvectors or None, sigma_max)`` of a Gram matrix.
 
     The system's singular values are the square roots of the clipped Gram
-    eigenvalues; those at most ``GRAM_EPS * max(1, sigma_max)`` are null.
-    Eigenvectors (``eigh``) are computed only when ``vectors`` is set,
-    otherwise just ``eigvalsh`` runs.  Raises ``error``, its message
-    starting with ``prefix``, when a kept value is within the gap factor.
+    eigenvalues, and :func:`null_mask` at ``GRAM_EPS`` decides which are
+    null.  Eigenvectors (``eigh``) are computed only when ``vectors`` is
+    set, otherwise just ``eigvalsh`` runs.
     """
     if vectors:
         evals, evecs = np.linalg.eigh(gram)
     else:
         evals, evecs = np.linalg.eigvalsh(gram), None
     sigma = np.sqrt(np.clip(evals, 0.0, None))
-    smax = float(sigma[-1]) if len(sigma) else 0.0
-    cut = GRAM_EPS * max(smax, 1.0)
-    null = sigma <= cut
-    nonzero = sigma[~null]
-    if len(nonzero) and float(nonzero.min()) < GAP_FACTOR * cut:
-        raise error(f"{prefix} (min nonzero {nonzero.min():.3e}, cut {cut:.3e})")
-    return null, evecs, smax
+    null = null_mask(sigma, GRAM_EPS, error, prefix)
+    return null, evecs, float(sigma[-1]) if len(sigma) else 0.0
 
 
 def stacked_null_space(n: int, stacks,

@@ -18,10 +18,8 @@ from biunitary import (
     jones_projection,
     jones_span_dimension,
     mpo_O,
-    mpo_O_tilde,
     operator_rank,
     pmpo_P,
-    pmpo_P_tilde,
     sector_statistics,
 )
 from biunitary.bratteli import (
@@ -154,7 +152,7 @@ def test_criterion_06_mpo_identities(systems, bases_for):
                 rep = s.reps[a]
                 lad = LadderEngine(rep).half_ladder(sb.pathset, k)
                 o = mpo_O(rep, k, lb)
-                ot = mpo_O_tilde(rep, k, sb)
+                ot = mpo_O(rep, k, sb)
                 ops[a] = o.matrix
                 worst_phi = max(worst_phi, float(np.max(np.abs(
                     phi @ o.matrix - ot.matrix @ phi))))
@@ -193,11 +191,11 @@ def test_criterion_07_flatness_relations(systems, bases_for):
             sb = res.basis
             fields = res.fields()
             mu_vec = np.array([s.wn.mu[x] for x in sb.base])
-            pt = pmpo_P_tilde(s.fd, s.reps, k, sb)
+            pt = pmpo_P(s.fd, s.reps, k, sb)
             for a in s.fd.labels:
                 rep = s.reps[a]
                 lad = LadderEngine(rep).half_ladder(sb.pathset, k)
-                ot = mpo_O_tilde(rep, k, sb).matrix
+                ot = mpo_O(rep, k, sb).matrix
                 transports = {}
                 for (x, y), edges in _edges_by_pair(rep).items():
                     for z1 in edges:
@@ -270,7 +268,7 @@ def test_criterion_09_jones_projections(systems, bases_for):
                     worst = max(worst, float(np.max(np.abs(
                         (es[i] @ es[j] - es[j] @ es[i]).vec))))
             span = jones_span_dimension(s.wn.top, s.wn.mu, g1, s.fd.w, k, sb)
-            rank = operator_rank(pmpo_P_tilde(s.fd, s.reps, k, sb))
+            rank = operator_rank(pmpo_P(s.fd, s.reps, k, sb))
             assert span == rank, (name, k, span, rank)
             checked.append((name, k))
     assert worst < tol

@@ -6,13 +6,15 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import biunitary.bases
 import biunitary.cli
 import biunitary.decomp
 import biunitary.nullspace
 import biunitary.strings
-from biunitary import (LadderEngine, PathSet, build_dynkin, connection_from_document,
+from biunitary import (LadderEngine, MPOOperator, PathSet, build_dynkin, connection_from_document,
                        connection_to_document)
 from biunitary.cli import main
 from biunitary.decomp import DecompositionError
@@ -308,6 +310,45 @@ def test_pmpo_over_memory_budget_is_input_error(capsys, monkeypatch):
     monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 512)
     code, _, _ = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
     assert code == 0
+
+
+def test_pmpo_on_an_ungapped_spectrum_is_numeric_failure(capsys, monkeypatch):
+    # sigma = 1e-7 lies above the rank cut 1e-8 but within 50 times it
+    ungapped = MPOOperator(np.diag([1.0, 1e-7, 0.0, 0.0]))
+    monkeypatch.setattr(biunitary.cli, "pmpo_P", lambda *args: ungapped)
+    code, out, err = run(capsys, "pmpo", "--builtin", "dynkin A3", "-k", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: operator spectrum has no clean spectral gap "
+                                "(min nonzero 1.000e-07, cut 1.000e-08)"]
+
+
+@pytest.mark.parametrize("builtin,k,dim", [("dynkin A3", 30, 2 ** 30), ("dynkin A3", 40, 2 ** 40),
+                                           ("dynkin E6", 14, 101687055)])
+def test_pmpo_sizes_its_basis_before_listing_a_path(capsys, monkeypatch, builtin, k, dim):
+    monkeypatch.setattr(biunitary.cli, "StringBasis", None)
+    monkeypatch.setattr(biunitary.bases, "PathSet", None)
+    code, out, err = run(capsys, "pmpo", "--builtin", builtin, "-k", str(k))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: dense P^k at k={k} on dim B_k = {dim} needs ")
+
+
+@pytest.mark.parametrize("argv,message,need", [
+    (["verify-theorem", "--builtin", "dynkin A3", "-k", "1100"],
+     "error: flat solve at k=1100 on ", " paths needs at least 2^1076 GiB for its half ladder, "),
+    (["relcomm", "--builtin", "trivial 2", "-k", "600"],
+     "error: flat solve at k=600 on ", " paths needs at least 2^1179 GiB for its half ladder, "),
+    (["stats", "--builtin", "dynkin A3", "-n", "2000"],
+     "error: level n = 513 is too large: its squared counts exceed a float", ""),
+])
+def test_needs_beyond_a_float_are_input_errors(capsys, argv, message, need):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(message) and need in err
 
 
 def test_verify_theorem_builds_no_dense_projector(capsys, monkeypatch):

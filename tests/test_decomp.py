@@ -31,7 +31,7 @@ from biunitary.decomp import (
     _span_distance,
     _vertical_counts,
 )
-from biunitary.nullspace import HOM_RESIDUAL_EPS
+from biunitary.nullspace import HOM_RESIDUAL_EPS, RANK_EPS
 
 from conftest import ALL_BUILDERS, make_builder
 from fusion_oracle import hom_conjugates, hom_fusion_tables
@@ -261,6 +261,39 @@ class TestSplitting:
         monkeypatch.setattr(biunitary.decomp, "ADJOINT_CLOSURE_EPS", -1.0)
         with pytest.raises(DecompositionError, match="^End\\(c\\) not closed under the adjoint "):
             end_minimal_projections(wtilde(systems("dynkin:A3").wn))
+
+    def test_a_minimality_gap_failure_reseeds(self, monkeypatch, systems):
+        # the first attempt's compressions get a second singular value within
+        # the gap of the cut, so the second attempt, at seed + 1, decides
+        wt = wtilde(systems("dynkin:A4").wn)
+        want = end_minimal_projections(wt, seed=1)
+        rule, calls = biunitary.decomp.null_mask, []
+
+        def ungapped(sigma, *args):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                sigma = sigma.copy()
+                sigma[0, 1] = 10 * RANK_EPS * max(1.0, sigma[0, 0])
+            return rule(sigma, *args)
+
+        monkeypatch.setattr(biunitary.decomp, "null_mask", ungapped)
+        got = end_minimal_projections(wt, seed=0)
+        assert calls == [0, 1]
+        assert len(got) == len(want) == 2
+        for p, q in zip(got, want):
+            assert all(np.array_equal(p[k], q[k]) for k in q)
+
+    def test_eight_minimality_gap_failures_are_refused(self, monkeypatch, systems):
+        calls = []
+
+        def ungapped(sigma, eps, error, prefix):
+            calls.append(prefix)
+            raise error(prefix)
+
+        monkeypatch.setattr(biunitary.decomp, "null_mask", ungapped)
+        with pytest.raises(DecompositionError, match="^spectral-gap failure after 8 reseeds$"):
+            end_minimal_projections(wtilde(systems("dynkin:A4").wn))
+        assert calls == ["minimality test has no clean spectral gap"] * 8
 
     def test_compress_identity_projection(self, systems):
         s = systems("dynkin:A3")
@@ -668,6 +701,13 @@ class TestStatistics:
         st3 = sector_statistics(s.fd, s.wn, 3)
         assert st3.power_multiplicities == {"a0": 4, "a1": 4}
         assert st3.path_counts == {"0:1": 4, "0:3": 4}
+
+    def test_a_level_beyond_a_float_is_refused(self, systems):
+        # A3: the squared counts sum to 2^1023 at n = 512, beyond a float at 513
+        s = systems("dynkin:A3")
+        assert sector_statistics(s.fd, s.wn, 512).alpha == 2.0 ** 511.5
+        with pytest.raises(ValueError, match=r"^level n = 513 is too large: "):
+            sector_statistics(s.fd, s.wn, 513)
 
     def test_a4_profiles_converge(self, systems):
         s = systems("dynkin:A4")

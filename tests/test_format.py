@@ -109,6 +109,14 @@ def _a3_with(field, value):
     return doc
 
 
+def _a3_base(value, mu=True):
+    """The A3 document with ``base`` replaced, and its weights dropped unless ``mu``."""
+    doc = _a3_with("base", value)
+    if not mu:
+        del doc["mu"]
+    return doc
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: {"format": "connection-interchange", "version": 1},
      "missing or invalid field 'layers' (KeyError: 'layers')"),
@@ -139,6 +147,14 @@ def _a3_with(field, value):
      "base = '0:9' is not a source vertex of the top graph"),
     (lambda: _a3_with("name", 3), "missing or invalid field 'name' (TypeError: "),
     (lambda: _a3_with("name", ["A3"]), "missing or invalid field 'name' (TypeError: "),
+    (lambda: _a3_base(["0:0"]),
+     "missing or invalid field 'base' (TypeError: ['0:0'] is not a string)"),
+    (lambda: _a3_base({"id": "0:0"}),
+     "missing or invalid field 'base' (TypeError: {'id': '0:0'} is not a string)"),
+    (lambda: _a3_base(["0:0"], mu=False),
+     "missing or invalid field 'base' (TypeError: ['0:0'] is not a string)"),
+    (lambda: _a3_base({"id": "0:0"}, mu=False),
+     "missing or invalid field 'base' (TypeError: {'id': '0:0'} is not a string)"),
 ])
 def test_malformed_documents_name_the_field(tmp_path, capsys, make, message):
     with pytest.raises(ConnectionError) as err:

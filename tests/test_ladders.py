@@ -6,8 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from biunitary import (LadderEngine, PathSet, StringBasis, mpo_O, mpo_O_tilde, pmpo_P,
-                       pmpo_P_tilde)
+from biunitary import LadderEngine, PathSet, StringBasis, mpo_O, pmpo_P
 from biunitary.ladders import grid_counts, paired_string_operator
 from biunitary.strings import _constraint_blocks
 
@@ -158,10 +157,10 @@ class TestProjectorStack:
     def test_one_pairing_is_the_weighted_label_sum(self, systems, bases_for, name, k):
         s = systems(name)
         sb, lb = bases_for(name, k)
-        want_t = sum(s.fd.d[a] / s.fd.w * mpo_O_tilde(s.reps[a], k, sb).matrix
+        want_t = sum(s.fd.d[a] / s.fd.w * mpo_O(s.reps[a], k, sb).matrix
                      for a in s.fd.labels)
         want = sum(s.fd.d[a] / s.fd.w * mpo_O(s.reps[a], k, lb).matrix for a in s.fd.labels)
-        assert np.max(np.abs(pmpo_P_tilde(s.fd, s.reps, k, sb).matrix - want_t)) < 1e-12
+        assert np.max(np.abs(pmpo_P(s.fd, s.reps, k, sb).matrix - want_t)) < 1e-12
         assert np.max(np.abs(pmpo_P(s.fd, s.reps, k, lb).matrix - want)) < 1e-12
 
 

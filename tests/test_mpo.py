@@ -9,7 +9,6 @@ from biunitary import (
     MPOOperator,
     StringBasis,
     mpo_O,
-    mpo_O_tilde,
     operator_rank,
     pmpo_P,
     projector_trace,
@@ -135,6 +134,18 @@ class TestOperatorRank:
         m = np.diag([1.0, 1e-3, 1e-12])
         assert operator_rank(m) == 2
 
+    def test_an_ungapped_spectrum_raises_on_every_route(self):
+        # sigma = 1e-7 lies above the cut 1e-8 but within 50 times it
+        rng = np.random.default_rng(17)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+        sigma = np.diag([1.0, 1e-7, 0.0])
+        # the diagonal, Hermitian-eigenvalue and SVD routes
+        for a in (np.diag([1.0, 1e-7]), v @ sigma @ v.T, u @ sigma @ v.T):
+            with pytest.raises(RuntimeError, match=r"^operator spectrum has no clean spectral gap "
+                                                   r"\(min nonzero 1\.000e-07, cut 1\.000e-08\)"):
+                operator_rank(a)
+
     def test_diagonal_test_sees_off_diagonal_entries(self):
         # rank 1 and not diagonal: its diagonal is zero, its singular values (1, 0)
         assert operator_rank(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1
@@ -218,7 +229,7 @@ class TestPhi:
             pm = np.diag(lb.fold_factor)
             for a in s.fd.labels:
                 o = mpo_O(s.reps[a], k, lb).matrix
-                ot = mpo_O_tilde(s.reps[a], k, sb).matrix
+                ot = mpo_O(s.reps[a], k, sb).matrix
                 assert np.max(np.abs(pm @ o - ot @ pm)) < 1e-10
 
 

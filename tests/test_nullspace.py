@@ -1,5 +1,7 @@
 """The shared Gram null-space decision: cut, gap check, and both callers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from biunitary import (
     vertical_product,
 )
 from biunitary.cli import main
-from biunitary.nullspace import FROBENIUS_SKIP_SQ, GRAM_EPS, gram_null_space, stacked_null_space
+from biunitary.nullspace import (FROBENIUS_SKIP_SQ, GRAM_EPS, check_budget, gram_null_space, null_mask,
+                                 stacked_null_space)
 
 
 def gram_of_rank(n, rank, seed=0):
@@ -67,6 +70,39 @@ class TestGramNullSpace:
                 gram_null_space(gram, vectors, error, prefix)
             assert type(info.value) is error
             assert str(info.value).startswith(f"{prefix} (min nonzero 1.000e-05, cut 1.000e-06)")
+
+
+class TestNullMask:
+    def test_each_row_has_its_own_cut(self):
+        # a shared cut 1e-5 would drop the second row's 1e-6 as well
+        null = null_mask(np.array([[1e3, 1e-6], [1.0, 1e-6]]), 1e-8, RuntimeError, "test")
+        assert null.tolist() == [[False, True], [False, False]]
+
+    def test_a_gap_failure_names_its_row(self):
+        sigma = np.array([[1.0, 0.5], [1.0, 1e-7], [1.0, 0.0]])
+        with pytest.raises(DecompositionError, match=r"^test \(min nonzero 1\.000e-07, cut 1\.000e-08\)$"):
+            null_mask(sigma, 1e-8, DecompositionError, "test")
+
+    def test_empty_rows(self):
+        assert null_mask(np.zeros(0), 1e-8, RuntimeError, "test").size == 0
+        assert null_mask(np.zeros((3, 0)), 1e-8, RuntimeError, "test").shape == (3, 0)
+
+
+class TestCheckBudget:
+    def test_a_need_too_large_for_a_float_is_refused(self):
+        with pytest.raises(ValueError, match=r"^x needs at least 2\^1298 GiB for y, above "):
+            check_budget(10 ** 400, "x", "y")
+
+    def test_messages_below_the_float_range(self, monkeypatch):
+        monkeypatch.setattr(biunitary.nullspace, "DENSE_BUDGET_BYTES", 2 ** 30)
+        with pytest.raises(ValueError) as info:
+            check_budget(7 * 2 ** 29, "x", "y")
+        assert str(info.value) == ("x needs 3.5 GiB for y, above the budget of 1.0 GiB "
+                                   "(half of physical memory)")
+        for need, gib in ((2 ** 1000 - 1, "%.1f" % 2.0 ** 970), (2 ** 1000, "at least 2^970")):
+            with pytest.raises(ValueError, match=rf"^x needs {re.escape(gib)} GiB for y"):
+                check_budget(need, "x", "y")
+        check_budget(2 ** 30, "x", "y")
 
 
 def stacks_with_norm(n, rank, norm2, parts=3, seed=0):

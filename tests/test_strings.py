@@ -11,8 +11,8 @@ from biunitary import (
     LadderEngine,
     TraceData,
     flat_fields,
-    mpo_O_tilde,
-    pmpo_P_tilde,
+    mpo_O,
+    pmpo_P,
 )
 from biunitary import ConnectionError, StringBasis, renormalize, vertical_product
 from biunitary.ladders import grid_counts
@@ -191,7 +191,7 @@ class TestTransports:
             for a in s.fd.labels:
                 rep = s.reps[a]
                 lad = LadderEngine(rep).half_ladder(sb.pathset, k)
-                ot = mpo_O_tilde(rep, k, sb).matrix
+                ot = mpo_O(rep, k, sb).matrix
                 acc = np.zeros_like(ot)
                 for (x, y), edges in edges_by_pair(rep).items():
                     sx, sy = sb.block_slices[x], sb.block_slices[y]
@@ -502,7 +502,7 @@ class TestProofRelations:
             sb = res.basis
             fields = res.fields()
             mu_vec = np.array([s.wn.mu[x] for x in sb.base])
-            pt = pmpo_P_tilde(s.fd, s.reps, k, sb)
+            pt = pmpo_P(s.fd, s.reps, k, sb)
             for f in fields:
                 # pinned transports act as deltas
                 for a in s.fd.labels:
@@ -515,7 +515,7 @@ class TestProofRelations:
                                 want = f.vec[sb.block_slices[y]] if z1 == z2 else 0 * got
                                 assert np.max(np.abs(got - want)) < 1e-9
                     # the string operator acts by vertical multiplicities
-                    ot = mpo_O_tilde(rep, k, sb).matrix
+                    ot = mpo_O(rep, k, sb).matrix
                     for i_x, x in enumerate(v0):
                         probe = np.zeros(sb.dim, dtype=complex)
                         sx = sb.block_slices[x]

@@ -42,3 +42,11 @@ def test_traced_commands_run_and_report_their_layers(capsys):
     assert m["mpo.dense_bytes_max"] > 0
     for point in ("biunitary.cli.pmpo_P", "biunitary.mpo.MPOOperator.idempotency_defect"):
         assert point not in tracer.missing
+
+
+def test_only_the_known_wrap_points_are_missing():
+    # a refactor that drops a traced name fails here instead of zeroing a metric
+    with Tracer() as tracer:
+        assert sorted(tracer.missing) == ["biunitary.decomp.decompose",
+                                          "biunitary.strings.paired_string_operator",
+                                          "biunitary.strings.transport_T"]
